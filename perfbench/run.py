@@ -97,11 +97,15 @@ def probe_setups(args):
     """Set-up times of fresh interpreters running only the set-up."""
     samples, problems = [], []
     for _ in range(SETUP_PROBES):
-        proc = subprocess.run(
-            [sys.executable, str(HERE / "run.py"), "--workload",
-             args.workload, "--seed", str(args.seed), "--probe-setup"],
-            cwd=ROOT, capture_output=True, text=True, timeout=150,
-        )
+        try:
+            proc = subprocess.run(
+                [sys.executable, str(HERE / "run.py"), "--workload",
+                 args.workload, "--seed", str(args.seed), "--probe-setup"],
+                cwd=ROOT, capture_output=True, text=True, timeout=30,
+            )
+        except subprocess.TimeoutExpired:
+            problems.append("setup probe timed out after 30 s")
+            continue
         if proc.returncode != 0:
             problems.append(f"setup probe exited {proc.returncode}: "
                             f"{proc.stderr.strip()[-400:]}")
@@ -243,7 +247,6 @@ def main(argv=None) -> int:
             "specs": workload.specs[:attempted],
         },
         "spans": str(spans_path.relative_to(ROOT)) if args.trace else None,
-        "moves": layers.MOVES if args.trace else None,
     }
     (OUT / f"{tag}.json").write_text(json.dumps(report, indent=1))
 
