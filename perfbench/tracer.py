@@ -213,7 +213,6 @@ def _batch_run_wrapper(tracer: Tracer, spanned: Callable) -> Callable:
                 on_shard(event)
 
         batch = spanned(self, trials, on_shard=observe)
-        tracer.count("batch.runs")
         tracer.count("batch.shards", plan.get("shards", 0))
         if shard_ends:
             tracer.count("batch.shard_spread_s",
