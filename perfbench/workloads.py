@@ -31,6 +31,8 @@ class Outcome:
     pulses: int = 0
     expected_digest: Optional[str] = None
     info: Dict = field(default_factory=dict)
+    #: Problems the workload's accounting found (e.g. a missed dedup hit).
+    faults: List[str] = field(default_factory=list)
 
     @property
     def node_pulses(self) -> int:
@@ -38,6 +40,7 @@ class Outcome:
 
     def problems(self) -> List[str]:
         found = check_payload(self.payload, self.cells, self.expected_digest)
+        found += self.faults
         if self.seconds > GRID_TIMEOUT_S:
             found.append(f"timed out: {self.seconds:.1f} s > {GRID_TIMEOUT_S} s")
         return found
@@ -63,6 +66,9 @@ class Workload:
     period = 1
     #: ``BatchRunner`` knobs of the grid, reused for the reference slice.
     runner_knobs: Dict = {}
+    #: Peak RSS is sampled once this many grids are done, so that it does
+    #: not depend on how many grids fit in the run.
+    rss_grids = 2
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
@@ -175,7 +181,7 @@ class FaultsWarm(Workload):
 
     def setup(self) -> None:
         super().setup()
-        self.trials = self.build(self.spec(0)["seeds"])
+        self.trials = self.jobs.build_trials(self.spec(0))
         self.runner = self.BatchRunner(**self.runner_knobs)
         warm = self.jobs.batch_payload(self.runner.run(self.trials))
         self.cells = [Cell.of(t.config) for t in self.trials]
@@ -189,39 +195,10 @@ class FaultsWarm(Workload):
         return Outcome(index, seconds, payload, cells=self.cells,
                        pulses=self.pulses, expected_digest=self.warm_digest)
 
-    def build(self, seeds) -> list:
-        """The trials ``build_trials`` makes for this spec, minus its audit.
-
-        ``thm13_trials`` also computes a k-faulty locality audit per plan,
-        which raises for about 1 plan seed in 200 at D=32 (its ``max_k``
-        of 16 is too small there).  The audit does not change the trials,
-        so the workload builds the same trials from the same public pieces
-        and in the same order: one RNG per plan, salt 13.
-        """
-        from repro.experiments.batch import BatchTrial
-        from repro.experiments.common import standard_config
-        from repro.experiments.thm13_random_faults import (
-            mixed_behavior_factory,
-        )
-        from repro.faults.injection import FaultPlan
-
-        reference = standard_config(self.diameter)
-        probability = reference.num_grid_nodes ** -0.6
-        trials = [BatchTrial(config=reference, label="fault-free")]
-        for seed in seeds:
-            config = standard_config(self.diameter, seed=seed,
-                                     num_pulses=self.pulses)
-            plan = FaultPlan.random(
-                config.graph, probability, rng_or_seed=config.rng(salt=13),
-                behavior_factory=mixed_behavior_factory,
-                enforce_one_local=True,
-            )
-            trials.append(BatchTrial(config=config, fault_plan=plan,
-                                     label=f"seed={seed}"))
-        return trials
-
     def reference_trials(self) -> list:
-        return self.build(self.specs[0]["seeds"][:1])
+        """The fault-free reference and the first plan."""
+        spec = self.specs[0]
+        return self.jobs.build_trials(dict(spec, seeds=spec["seeds"][:1]))
 
 
 class ServiceMix(Workload):
@@ -233,6 +210,9 @@ class ServiceMix(Workload):
     diameters, seeds_per_grid, pulses = [8, 16, 24], 4, 4
     repeat_every = 4
     period = repeat_every
+    #: The service keeps every job's trials, so its memory grows with the
+    #: grids served.  8 periods of the schedule take about 15 s on 2 cores.
+    rss_grids = 8 * repeat_every
     runner_knobs = {"num_pulses": 4, "store_times": False}
     #: Pinned so the workload does not change with the machine's cores.
     submit_runner = {"shards": 2}
@@ -287,10 +267,19 @@ class ServiceMix(Workload):
         outcome.cells = [self._cell(d) for d in spec["diameters"]
                          for _ in spec["seeds"]]
         outcome.info["result_bytes"] = len(json.dumps(outcome.payload))
+        hit = outcome.info["cache_hit"]
         if "repeat_of" in spec:
-            outcome.expected_digest = self.digests.get(spec["repeat_of"])
+            original = spec["repeat_of"]
+            outcome.expected_digest = self.digests.get(original)
+            if outcome.expected_digest is not None and not hit:
+                outcome.faults.append(
+                    f"repeat of grid {original} recomputed, not served "
+                    "from the dedup store")
         else:
             self.digests[outcome.index] = digest(outcome.payload)
+            if hit:
+                outcome.faults.append(
+                    "fresh grid served as a dedup-store hit")
 
     def _cell(self, diameter: int) -> Cell:
         if diameter not in self._cells:
