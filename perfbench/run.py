@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload sweep_cold --seed 1 --seconds 50 --trace 0
+    python3 perfbench/run.py --workload sweep_cold --seed 1 --seconds 55 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with tracing off.
 ``--trace 1`` alternates untraced and traced blocks of grids and reports
@@ -164,7 +164,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=50.0)
+    parser.add_argument("--seconds", type=float, default=55.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--probe-setup", action="store_true",
                         help="run the set-up only and print its time")
