@@ -14,14 +14,14 @@ Four micro-benchmarks track the performance trajectory across PRs:
 * ``test_heterogeneous_stacked_speedup``: a thm11-style mixed-width
   sweep (S = 16 over D in {16, 32, 64}) through the padded
   mixed-geometry stack vs the per-trial loop and the per-geometry
-  grouping, asserting a single stack group, bit-identical times, and
-  the >= 1.3x floor over the per-trial loop.
+  grouping (one ``BatchRunner.run`` per geometry), asserting a single
+  stack group, bit-identical times, and the >= 1.3x floor over the
+  per-trial loop.
 * ``test_depth_skewed_compaction_speedup``: the workload the padded
   stack used to *lose* -- S = 16 mixed widths with 1-vs-512 layer
-  skew -- through the depth-compacted stack vs per-geometry grouping
-  and the uncompacted padded stack, asserting bit-identical times and
-  the >= 1.3x floor over per-geometry grouping (the previous best mode
-  on this shape).
+  skew -- through the depth-compacted stack vs per-geometry grouping,
+  asserting bit-identical times and the >= 1.3x floor over
+  per-geometry grouping (the previous best mode on this shape).
 * ``test_campaign_stacked_speedup``: an S = 32, D = 32 batch where every
   trial carries its own random :class:`ChaosCampaign`, run through the
   trial-stacked kernel vs the per-trial loop (>= 1.5x floor, times
@@ -30,10 +30,10 @@ Four micro-benchmarks track the performance trajectory across PRs:
   times bitwise.  Recorded under the ``"churn"`` section.
 * ``test_width_skewed_lane_compaction_speedup``: one wide shallow trial
   stacked with a field of narrow deep ones -- the shape where depth
-  compaction alone still drags every surviving row across the wide
-  trial's padded lanes.  Lane (width) compaction vs the lane-padded
-  stack, bit-identical times, >= 1.3x floor; recorded under the
-  ``"sparse"`` section.
+  compaction alone would still drag every surviving row across the wide
+  trial's padded lanes.  Asserts that lane (width) compaction reclaims
+  most of the padding with times bit-identical to the per-trial loop,
+  and records the stack's throughput under the ``"sparse"`` section.
 * ``test_csr_backend_memory_reduction``: a hub-skewed 10^5-node sparse
   layered graph through the CSR segment-reduce kernel vs the dense
   padded kernel, tracking peak memory with ``tracemalloc`` and asserting
@@ -85,7 +85,7 @@ from repro.core.backend import (
 )
 from repro.core.fast import FastSimulation
 from repro.delays import StaticDelayModel, UniformDelayModel
-from repro.experiments.batch import BatchRunner
+from repro.experiments.batch import BatchResult, BatchRunner
 from repro.faults import ChaosCampaign
 from repro.params import Parameters
 from repro.topology import LayeredGraph, replicated_line, sparse_layered
@@ -156,6 +156,32 @@ def acceptance_grid():
         ).items()
     }
     return graph, delays, rates
+
+
+def per_trial_loop(trials, num_pulses):
+    """The per-trial baseline: one ``FastSimulation.run`` per trial."""
+    return BatchResult(
+        trials, [trial.simulation().run(num_pulses) for trial in trials]
+    )
+
+
+def geometry_grouped(runner, trials):
+    """The per-geometry baseline: one ``runner.run`` per distinct geometry.
+
+    Returns the assembled :class:`BatchResult` and the group count.
+    """
+    groups = {}
+    for i, trial in enumerate(trials):
+        graph = trial.config.graph
+        groups.setdefault(
+            (graph.num_layers, graph.base.adjacency), []
+        ).append(i)
+    results = [None] * len(trials)
+    for indices in groups.values():
+        batch = runner.run([trials[i] for i in indices])
+        for i, result in zip(indices, batch.results):
+            results[i] = result
+    return BatchResult(trials, results), len(groups)
 
 
 def timed(fn, repeats=3):
@@ -246,7 +272,6 @@ def test_trial_stacked_speedup():
     node_pulses = graph.num_nodes * NUM_PULSES
 
     stacked_runner = BatchRunner(num_pulses=NUM_PULSES)
-    per_trial_runner = BatchRunner(num_pulses=NUM_PULSES, stack=False)
     scalar_runner = BatchRunner(num_pulses=NUM_PULSES, vectorize=False)
     sharded_runner = BatchRunner(
         num_pulses=NUM_PULSES, executor="process", shards=2
@@ -260,7 +285,7 @@ def test_trial_stacked_speedup():
             lambda: stacked_runner.run(trials), repeats=repeats
         )
         per_trial_time, per_trial_batch = timed(
-            lambda: per_trial_runner.run(trials), repeats=repeats
+            lambda: per_trial_loop(trials, NUM_PULSES), repeats=repeats
         )
         if per_trial_time / stacked_time >= 3.0:
             break
@@ -442,8 +467,8 @@ def test_heterogeneous_stacked_speedup():
     The sweep the paper's headline experiments run (mixed widths/depths)
     used to bypass the trial stack entirely; this bench pins the padded
     kernel's throughput against the per-trial vectorized loop and the
-    per-geometry grouping (`stack_mixed_geometry=False`), and records all
-    three modes under the ``"heterogeneous"`` section of
+    per-geometry grouping (one ``BatchRunner.run`` per geometry), and
+    records all three modes under the ``"heterogeneous"`` section of
     ``BENCH_batch.json``.
     """
     trials = hetero_trials()
@@ -452,10 +477,6 @@ def test_heterogeneous_stacked_speedup():
     ) / len(trials)
 
     stacked_runner = BatchRunner(num_pulses=NUM_PULSES)
-    grouped_runner = BatchRunner(
-        num_pulses=NUM_PULSES, stack_mixed_geometry=False
-    )
-    per_trial_runner = BatchRunner(num_pulses=NUM_PULSES, stack=False)
 
     # Warm the per-edge and per-layer delay caches once.
     warm = stacked_runner.run(trials)
@@ -467,12 +488,12 @@ def test_heterogeneous_stacked_speedup():
             lambda: stacked_runner.run(trials), repeats=repeats
         )
         per_trial_time, per_trial_batch = timed(
-            lambda: per_trial_runner.run(trials), repeats=repeats
+            lambda: per_trial_loop(trials, NUM_PULSES), repeats=repeats
         )
         if per_trial_time / stacked_time >= 1.3:
             break
-    grouped_time, grouped_batch = timed(
-        lambda: grouped_runner.run(trials), repeats=1
+    grouped_time, (grouped_batch, grouped_groups) = timed(
+        lambda: geometry_grouped(stacked_runner, trials), repeats=1
     )
 
     # Acceptance: the padded stack is bit-identical to the per-trial runs.
@@ -495,7 +516,7 @@ def test_heterogeneous_stacked_speedup():
                     ),
                     "geometry_grouped": _mode_record(
                         len(trials), grouped_time, node_pulses,
-                        groups=len(grouped_batch.stack_groups),
+                        groups=grouped_groups,
                     ),
                     "hetero_stacked": _mode_record(
                         len(trials), stacked_time, node_pulses, groups=1
@@ -566,9 +587,7 @@ def test_depth_skewed_compaction_speedup():
     one stack per distinct geometry; the compacted stack keeps the
     single padded stack and simply retires finished rows, so it pays the
     same layer steps as grouping with the Python/launch overhead of one
-    stack.  Records all three modes (plus the uncompacted padded stack,
-    which still loses to grouping here -- the regression this feature
-    closes) under the ``"depth_skewed"`` section of
+    stack.  Records both modes under the ``"depth_skewed"`` section of
     ``BENCH_batch.json``.
     """
     trials = depth_skew_trials()
@@ -577,10 +596,6 @@ def test_depth_skewed_compaction_speedup():
     ) / len(trials)
 
     compacted_runner = BatchRunner(num_pulses=NUM_PULSES)
-    grouped_runner = BatchRunner(
-        num_pulses=NUM_PULSES, stack_mixed_geometry=False
-    )
-    padded_runner = BatchRunner(num_pulses=NUM_PULSES, compact_depth=False)
 
     # Warm the per-edge and per-layer delay caches once; also pin the
     # single-stack + compaction bookkeeping while we are at it.
@@ -589,25 +604,22 @@ def test_depth_skewed_compaction_speedup():
         "depth-skewed sweep must still run as a single padded stack"
     )
     (stats,) = warm.compaction_stats
-    assert stats["enabled"] and stats["dropped_fraction"] > 0.5, (
+    assert stats["dropped_fraction"] > 0.5, (
         "compaction should reclaim most of the depth padding here"
     )
     for repeats in (3, 5):
         compacted_time, compacted_batch = timed(
             lambda: compacted_runner.run(trials), repeats=repeats
         )
-        grouped_time, grouped_batch = timed(
-            lambda: grouped_runner.run(trials), repeats=repeats
+        grouped_time, (grouped_batch, grouped_groups) = timed(
+            lambda: geometry_grouped(compacted_runner, trials),
+            repeats=repeats,
         )
         if grouped_time / compacted_time >= 1.3:
             break
-    padded_time, padded_batch = timed(
-        lambda: padded_runner.run(trials), repeats=1
-    )
 
     # Acceptance: compaction changes the work done, never the results.
     np.testing.assert_array_equal(compacted_batch.times, grouped_batch.times)
-    np.testing.assert_array_equal(compacted_batch.times, padded_batch.times)
 
     speedup = grouped_time / compacted_time
     _merge_bench_json(
@@ -631,20 +643,13 @@ def test_depth_skewed_compaction_speedup():
                 "modes": {
                     "geometry_grouped": _mode_record(
                         len(trials), grouped_time, node_pulses,
-                        groups=len(grouped_batch.stack_groups),
-                    ),
-                    "padded_uncompacted": _mode_record(
-                        len(trials), padded_time, node_pulses, groups=1
+                        groups=grouped_groups,
                     ),
                     "depth_compacted": _mode_record(
                         len(trials), compacted_time, node_pulses, groups=1
                     ),
                 },
-                "speedups": {
-                    "compacted_vs_grouped": speedup,
-                    "compacted_vs_padded": padded_time / compacted_time,
-                    "grouped_vs_padded": padded_time / grouped_time,
-                },
+                "speedups": {"compacted_vs_grouped": speedup},
             }
         }
     )
@@ -656,8 +661,6 @@ def test_depth_skewed_compaction_speedup():
             [
                 ("geometry_grouped", len(trials), grouped_time,
                  len(trials) * node_pulses / grouped_time),
-                ("padded_uncompacted", len(trials), padded_time,
-                 len(trials) * node_pulses / padded_time),
                 ("depth_compacted", len(trials), compacted_time,
                  len(trials) * node_pulses / compacted_time),
             ],
@@ -831,7 +834,6 @@ def test_campaign_stacked_speedup():
         )
 
     stacked_runner = BatchRunner(num_pulses=CHURN_PULSES)
-    per_trial_runner = BatchRunner(num_pulses=CHURN_PULSES, stack=False)
 
     # Warm the per-edge delay and rate caches so every timed mode
     # measures its kernel, not one-time RNG setup.
@@ -841,7 +843,7 @@ def test_campaign_stacked_speedup():
             lambda: stacked_runner.run(trials), repeats=repeats
         )
         per_trial_time, per_trial_batch = timed(
-            lambda: per_trial_runner.run(trials), repeats=repeats
+            lambda: per_trial_loop(trials, CHURN_PULSES), repeats=repeats
         )
         if per_trial_time / stacked_time >= 1.5:
             break
@@ -968,14 +970,16 @@ def width_skew_trials():
 
 
 def test_width_skewed_lane_compaction_speedup():
-    """Lane-compacted stack >= 1.3x over the lane-padded stack.
+    """Lane compaction reclaims the width padding, bit-identically.
 
     The complement of the depth-skew bench: there the waste was inert
     *rows*, here it is inert *columns*.  Once the wide trial's rows
     retire, lane compaction gathers the surviving narrow rows down to
     their own union width instead of sweeping the wide trial's padded
-    lanes, and the result must stay bit-identical.  Records the lane
-    modes under the ``"sparse"`` section of ``BENCH_batch.json``.
+    lanes, and the result must stay bit-identical to the per-trial loop.
+    Records the stack's throughput under the ``"sparse"`` section of
+    ``BENCH_batch.json``.  No speed floor: on this shape per-geometry
+    grouping still beats the padded stack (a known gap).
     """
     trials = width_skew_trials()
     node_pulses = sum(
@@ -983,7 +987,6 @@ def test_width_skewed_lane_compaction_speedup():
     ) / len(trials)
 
     lane_runner = BatchRunner(num_pulses=NUM_PULSES)
-    padded_runner = BatchRunner(num_pulses=NUM_PULSES, compact_width=False)
 
     # Warm the per-edge delay and rate caches; pin the stacking shape
     # and the width-axis accounting while we are at it.
@@ -996,20 +999,13 @@ def test_width_skewed_lane_compaction_speedup():
     assert stats["lane_dropped_fraction"] > 0.5, (
         "lane compaction should reclaim most of the width padding here"
     )
-    for repeats in (3, 5):
-        lane_time, lane_batch = timed(
-            lambda: lane_runner.run(trials), repeats=repeats
-        )
-        padded_time, padded_batch = timed(
-            lambda: padded_runner.run(trials), repeats=repeats
-        )
-        if padded_time / lane_time >= 1.3:
-            break
+    lane_time, lane_batch = timed(lambda: lane_runner.run(trials))
 
     # Acceptance: lane compaction changes the work, never the results.
-    np.testing.assert_array_equal(lane_batch.times, padded_batch.times)
+    np.testing.assert_array_equal(
+        lane_batch.times, per_trial_loop(trials, NUM_PULSES).times
+    )
 
-    speedup = padded_time / lane_time
     _merge_sparse_section(
         "width_skew",
         {
@@ -1027,14 +1023,10 @@ def test_width_skewed_lane_compaction_speedup():
                 "active_lane_steps": stats["active_lane_steps"],
             },
             "modes": {
-                "lane_padded": _mode_record(
-                    len(trials), padded_time, node_pulses
-                ),
                 "lane_compacted": _mode_record(
                     len(trials), lane_time, node_pulses
                 ),
             },
-            "speedups": {"lane_vs_padded": speedup},
         },
     )
 
@@ -1043,20 +1035,14 @@ def test_width_skewed_lane_compaction_speedup():
         format_table(
             ["mode", "trials", "seconds", "node-pulses/s"],
             [
-                ("lane_padded", len(trials), padded_time,
-                 len(trials) * node_pulses / padded_time),
                 ("lane_compacted", len(trials), lane_time,
                  len(trials) * node_pulses / lane_time),
             ],
             title=f"Width-skewed stack, S={len(trials)}, "
             f"W {WIDTH_SKEW_WIDE_DIAMETER + 1} vs "
             f"{WIDTH_SKEW_NARROW_DIAMETER + 1}, {NUM_PULSES} pulses "
-            f"(lane-compacted {speedup:.1f}x vs padded)",
+            f"(lanes dropped {stats['lane_dropped_fraction']:.2f})",
         )
-    )
-    assert speedup >= 1.3, (
-        f"lane-compacted stack only {speedup:.1f}x faster than the "
-        f"lane-padded stack ({lane_time:.4f}s vs {padded_time:.4f}s)"
     )
 
 

@@ -5,9 +5,8 @@
 * :mod:`repro.analysis.potentials` -- the potential functions of
   Definition 4.1 (``psi``, ``Psi``, ``xi``, ``Xi``).
 * :mod:`repro.analysis.streaming` -- online (streaming) counterparts of
-  the skew/potential reducers plus an incremental low-rank sketch, for
-  ``store_times=False`` sweeps that never materialize the pulse-time
-  block.
+  the skew/potential reducers, for ``store_times=False`` sweeps that
+  never materialize the pulse-time block.
 * :mod:`repro.analysis.stats` -- regression helpers (log/linear/power fits)
   used to check growth *shapes* against the paper's bounds.
 * :mod:`repro.analysis.report` -- ASCII tables for benchmark output.
@@ -36,7 +35,6 @@ from repro.analysis.potentials import (
 from repro.analysis.streaming import (
     CorrectionStatsStream,
     GlobalSkewStream,
-    IncrementalSketch,
     InterLayerSkewStream,
     LocalSkewStream,
     PotentialStream,
@@ -52,7 +50,6 @@ from repro.analysis.report import format_table
 __all__ = [
     "CorrectionStatsStream",
     "GlobalSkewStream",
-    "IncrementalSketch",
     "InterLayerSkewStream",
     "LocalSkewStream",
     "PotentialStream",

@@ -58,7 +58,6 @@ __all__ = [
     "GlobalSkewStream",
     "CorrectionStatsStream",
     "PotentialStream",
-    "IncrementalSketch",
     "StreamedStats",
     "default_reducers",
     "fold_correction_planes",
@@ -508,120 +507,6 @@ class PotentialStream(_PerLayerMaxStream):
         return PotentialStream(self.s)
 
 
-class IncrementalSketch(StreamingReducer):
-    """Bounded rank-``r`` SVD sketch of the trial block, streamed.
-
-    The Fareed & Singler incremental-POD update: each ``(S, W)`` plane is
-    one column (NaN as 0) of the implicit ``(S*W, K*L)`` snapshot matrix,
-    folded into a rank-``r`` factorization ``U diag(s) Vt`` by a Brand
-    single-column update.  Memory stays ``O(r (S W + K L))`` regardless
-    of how many pulses stream past -- the post-hoc-analysis replacement
-    for keeping the full block.  The sketch is an *approximation* (exact
-    only while the data's rank stays <= r), so it is excluded from the
-    bitwise differential matrix.
-    """
-
-    name = "sketch"
-
-    def __init__(self, rank: int) -> None:
-        if rank < 1:
-            raise ValueError(f"sketch rank must be >= 1, got {rank}")
-        self.rank = int(rank)
-
-    def bind(self, layout):
-        self.layout = layout
-        rows = layout.num_trials * layout.width
-        self._u = np.zeros((rows, 0))
-        self._sv = np.zeros(0)
-        self._vt = np.zeros((0, 0))
-        self.num_columns = 0
-
-    def update(self, pulse, layer, times, corrections, rows=None):
-        column = np.where(np.isnan(times), 0.0, times).reshape(-1)
-        rank = self._sv.size
-        projection = self._u.T @ column
-        residual = column - self._u @ projection
-        rho = float(np.linalg.norm(residual))
-        core = np.zeros((rank + 1, rank + 1))
-        core[:rank, :rank] = np.diag(self._sv)
-        core[:rank, rank] = projection
-        core[rank, rank] = rho
-        core_u, core_s, core_vt = np.linalg.svd(core)
-        direction = (
-            residual / rho if rho > 1e-12 else np.zeros_like(residual)
-        )
-        basis = np.concatenate([self._u, direction[:, None]], axis=1)
-        grown_v = np.zeros((self.num_columns + 1, rank + 1))
-        grown_v[: self.num_columns, :rank] = self._vt.T
-        grown_v[self.num_columns, rank] = 1.0
-        keep = min(self.rank, core_s.size)
-        self._u = basis @ core_u[:, :keep]
-        self._sv = core_s[:keep]
-        self._vt = (grown_v @ core_vt.T)[:, :keep].T
-        self.num_columns += 1
-
-    def reconstruct(self) -> np.ndarray:
-        """Best rank-``r`` approximation of the block; ``(S, K, L, W)``."""
-        layout = self.layout
-        expected = layout.num_pulses * layout.num_layers
-        if self.num_columns != expected:
-            raise ValueError(
-                f"sketch saw {self.num_columns} planes, expected {expected}"
-            )
-        matrix = (self._u * self._sv[None, :]) @ self._vt
-        return matrix.reshape(
-            layout.num_trials, layout.width,
-            layout.num_pulses, layout.num_layers,
-        ).transpose(0, 2, 3, 1)
-
-    def _padded_u(self, width: int) -> np.ndarray:
-        if width == self.layout.width:
-            return self._u
-        trials, own = self.layout.num_trials, self.layout.width
-        padded = np.zeros((trials * width, self._sv.size))
-        padded.reshape(trials, width, -1)[:, :own, :] = self._u.reshape(
-            trials, own, -1
-        )
-        return padded
-
-    def merged(self, other, layout):
-        if self.num_columns != other.num_columns:
-            raise ValueError("cannot merge sketches over different pulses")
-        out = IncrementalSketch(max(self.rank, other.rank))
-        out.layout = layout
-        upper = self._padded_u(layout.width)
-        lower = other._padded_u(layout.width)
-        stacked = np.concatenate(
-            [
-                self._sv[:, None] * self._vt,
-                other._sv[:, None] * other._vt,
-            ],
-            axis=0,
-        )
-        if stacked.size == 0:
-            out._u = np.zeros((upper.shape[0] + lower.shape[0], 0))
-            out._sv = np.zeros(0)
-            out._vt = np.zeros((0, self.num_columns))
-        else:
-            core_u, core_s, core_vt = np.linalg.svd(
-                stacked, full_matrices=False
-            )
-            basis = np.zeros(
-                (
-                    upper.shape[0] + lower.shape[0],
-                    upper.shape[1] + lower.shape[1],
-                )
-            )
-            basis[: upper.shape[0], : upper.shape[1]] = upper
-            basis[upper.shape[0]:, upper.shape[1]:] = lower
-            keep = min(out.rank, core_s.size)
-            out._u = basis @ core_u[:, :keep]
-            out._sv = core_s[:keep]
-            out._vt = core_vt[:keep]
-        out.num_columns = self.num_columns
-        return out
-
-
 class StreamedStats:
     """Bound reducer set of one streamed run (one stack group / trial).
 
@@ -714,14 +599,12 @@ class StreamedStats:
 
 
 def default_reducers(
-    sketch_rank: Optional[int] = None,
     potential_levels: Sequence[int] = (),
 ) -> List[StreamingReducer]:
     """The reducer set backing :class:`BatchResult`'s streamed accessors.
 
     Local / inter-layer / global skew and correction stats always;
-    ``potential_levels`` adds one ``Psi^s`` stream per level and
-    ``sketch_rank`` an :class:`IncrementalSketch`.
+    ``potential_levels`` adds one ``Psi^s`` stream per level.
 
     Example
     -------
@@ -736,8 +619,6 @@ def default_reducers(
         CorrectionStatsStream(),
     ]
     reducers.extend(PotentialStream(s) for s in potential_levels)
-    if sketch_rank is not None:
-        reducers.append(IncrementalSketch(sketch_rank))
     return reducers
 
 

@@ -36,38 +36,36 @@ their behaviour dictates, per successor.
 
 Vectorized/scalar split
 -----------------------
-``FastSimulation`` advances one pulse of one layer for **all** ``W`` base
-vertices at once with NumPy array operations (reception times, do-until
-exit, correction, pulse time), which is what makes large parameter sweeps
-tractable.  The arithmetic lives in the shape-generic
-:func:`_layer_step_kernel`, shared with the trial-stacked ``(S, W)``
-kernel of :mod:`repro.core.fast_batch`; both algorithms run through it:
+The vectorized path advances one pulse of one layer for **all** ``W``
+base vertices at once with NumPy array operations (reception times,
+do-until exit, correction, pulse time), which is what makes large
+parameter sweeps tractable.  The arithmetic lives in the shape-generic
+:func:`_layer_step_kernel`, and there is exactly one driver of it: the
+trial-stacked ``(S, W)`` loop of :class:`repro.core.fast_batch.TrialStack`.
+``FastSimulation.run`` with ``vectorize=True`` (the default) runs as a
+stack of one.  Both algorithms run through the kernel:
 
 * Under the **full** Algorithm 3 semantics the kernel covers exactly the
   executions in which the do-until loop exits at the *final* arrival with
   every register filled -- the fault-free/normal-branch path.  A node is
-  handled by the scalar per-node replay
-  (:meth:`FastSimulation._run_node`) instead when any of its predecessors
-  is faulty (reception times then come from ``fault_sends``), a
-  predecessor never pulsed (missing-message regime), or the loop would
-  exit *early* -- the own-copy timeout (via-``H_max`` branch,
-  ``H_own > H_max + k/2 + vt*k``) or the last-neighbor timeout
+  resolved by the exact batched fallback
+  (:meth:`FastSimulation._run_fallback_batch`) instead when any of its
+  predecessors is faulty (reception times then come from
+  ``fault_sends``), a predecessor never pulsed (missing-message regime),
+  or the loop would exit *early* -- the own-copy timeout (via-``H_max``
+  branch, ``H_own > H_max + k/2 + vt*k``) or the last-neighbor timeout
   (``H_max > 2*H_own - H_min + 2k``) fires before the last arrival.
 * Under the **simplified** Algorithm 1 semantics there is no do-until
   exit to predict -- the node waits for its own, first, and last neighbor
   arrival unconditionally, so those arrivals are a fixed gather and the
   fault-free case is a pure array op.  Only fault-adjacent and
-  missing-message cells (where Algorithm 1 deadlocks) fall back to the
-  scalar :meth:`FastSimulation._run_node_simplified` replay.
+  missing-message cells (where Algorithm 1 deadlocks) fall back.
 
 The eligibility tests are exact (ties fall back conservatively), so the
-vectorized and scalar paths produce bit-identical results; the test suite
-cross-validates them over random rates, delays, and fault plans.  Pass
-``vectorize=False`` to force the scalar path everywhere.
-
-For multi-trial sweeps, :mod:`repro.core.fast_batch` widens this kernel by
-a leading trial axis, advancing ``S`` structurally identical simulations
-through the recurrence in lock-step with ``(S, W)`` array ops.
+vectorized path produces bit-identical results to the scalar per-node
+replay (:meth:`FastSimulation._run_node`), which stays as the reference:
+pass ``vectorize=False`` to force it everywhere.  The test suite
+cross-validates both over random rates, delays, and fault plans.
 """
 
 from __future__ import annotations
@@ -79,7 +77,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.backend import KERNEL_BACKENDS, NUMPY_OPS, resolve_kernel_ops
+from repro.core.backend import NUMPY_OPS, resolve_kernel_ops
 from repro.core.correction import CorrectionPolicy, PAPER_POLICY, compute_correction
 from repro.core.layer0 import Layer0Schedule, PerfectLayer0
 from repro.delays.models import DelayModel, UniformDelayModel
@@ -154,63 +152,63 @@ def _correction_step(
     branch; the formulae below would produce NaN via ``inf - inf``
     instead, so the convention is pinned explicitly.  Returns
     ``(correction, branches)``.
+
+    Callers hold ``np.errstate(invalid="ignore", divide="ignore")``: the
+    ``inf - inf`` lanes above are expected.  Subexpressions the scalar
+    rule evaluates twice (``H_own - H_max``, ``4 * s * kappa``, ...) are
+    computed once and reused: the same operation on the same operands
+    yields the same float, so the reuse is bitwise neutral.
     """
     kappa = params.kappa
     vartheta = params.vartheta
-    kappa_stacked = np.ndim(kappa) > 0
+    kappa_stacked = isinstance(kappa, np.ndarray)
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = h_own - h_max
-        b = h_own - h_min
-        if policy.discretize:
-            if not kappa_stacked and kappa == 0.0:
-                delta = b
-            else:
-                # s_star >= 0 on every eligible lane (h_max >= h_min),
-                # so the scalar path's max(0, .) clamps are no-ops.
-                s_star = (h_max - h_min) / (8.0 * kappa)
-                s_floor = np.floor(s_star)
-                s_ceil = np.ceil(s_star)
-                delta = (
-                    np.minimum(
-                        np.maximum(
-                            a + 4.0 * s_floor * kappa,
-                            b - 4.0 * s_floor * kappa,
-                        ),
-                        np.maximum(
-                            a + 4.0 * s_ceil * kappa,
-                            b - 4.0 * s_ceil * kappa,
-                        ),
-                    )
-                    - kappa / 2.0
+    a = h_own - h_max
+    b = h_own - h_min
+    if policy.discretize:
+        if not kappa_stacked and kappa == 0.0:
+            delta = b
+        else:
+            # s_star >= 0 on every eligible lane (h_max >= h_min),
+            # so the scalar path's max(0, .) clamps are no-ops.
+            s_star = (h_max - h_min) / (8.0 * kappa)
+            shift_floor = 4.0 * np.floor(s_star) * kappa
+            shift_ceil = 4.0 * np.ceil(s_star) * kappa
+            delta = (
+                np.minimum(
+                    np.maximum(a + shift_floor, b - shift_floor),
+                    np.maximum(a + shift_ceil, b - shift_ceil),
                 )
-                if kappa_stacked:
-                    # kappa == 0 lanes divided by zero above; give them the
-                    # scalar path's kappa == 0 answer instead.
-                    delta = np.where(kappa == 0.0, b, delta)
-        else:
-            delta = h_own - (h_max + h_min) / 2.0 - kappa / 2.0
-        delta = np.where(np.isinf(h_max), -np.inf, delta)
-
-        upper = vartheta * kappa
-        damp = policy.jump_slack * kappa
-        low = delta < 0.0
-        high = delta > upper
-        if policy.stick_to_median:
-            corr_low = np.minimum(h_own - h_min + kappa / 2.0 + damp, 0.0)
-            corr_high = np.maximum(h_own - h_max - kappa / 2.0 - damp, upper)
-        else:
-            corr_low = np.zeros_like(delta)
-            corr_high = np.broadcast_to(
-                np.asarray(upper, dtype=float), delta.shape
+                - kappa / 2.0
             )
-        correction = np.where(low, corr_low, np.where(high, corr_high, delta))
-        branches = np.where(
-            low,
-            BRANCH_CODES["low"],
-            np.where(high, BRANCH_CODES["high"], BRANCH_CODES["mid"]),
-        ).astype(np.int8)
+            if kappa_stacked:
+                # kappa == 0 lanes divided by zero above; give them the
+                # scalar path's kappa == 0 answer instead.
+                delta = np.where(kappa == 0.0, b, delta)
+    else:
+        delta = h_own - (h_max + h_min) / 2.0 - kappa / 2.0
+    delta = np.where(np.isinf(h_max), -np.inf, delta)
+
+    upper = vartheta * kappa
+    damp = policy.jump_slack * kappa
+    low = delta < 0.0
+    high = delta > upper
+    if policy.stick_to_median:
+        corr_low = np.minimum(b + kappa / 2.0 + damp, 0.0)
+        corr_high = np.maximum(a - kappa / 2.0 - damp, upper)
+    else:
+        corr_low = np.zeros_like(delta)
+        corr_high = np.broadcast_to(np.asarray(upper, dtype=float), delta.shape)
+    correction = np.where(low, corr_low, np.where(high, corr_high, delta))
+    branches = np.where(
+        low, _BRANCH_LOW, np.where(high, _BRANCH_HIGH, _BRANCH_MID)
+    )
     return correction, branches
+
+
+_BRANCH_LOW = np.int8(BRANCH_CODES["low"])
+_BRANCH_HIGH = np.int8(BRANCH_CODES["high"])
+_BRANCH_MID = np.int8(BRANCH_CODES["mid"])
 
 
 def _registers_step(
@@ -250,10 +248,12 @@ def _registers_step(
         )
 
         exit_tau = np.maximum(h_own, h_max)
-        target = h_own + params.Lambda - params.d - correction
-        pulse_local = np.maximum(target, exit_tau)
+        # ``H_own + Lambda - d`` anchors both the target and the effective
+        # correction; the scalar replay evaluates it the same way.
+        anchor = h_own + params.Lambda - params.d
+        pulse_local = np.maximum(anchor - correction, exit_tau)
         pulse_time = pulse_local / rate
-        effective = h_own + params.Lambda - params.d - rate * pulse_time
+        effective = anchor - rate * pulse_time
 
     return eligible, correction, branches, pulse_time, effective
 
@@ -273,12 +273,10 @@ def _layer_step_kernel(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One pulse of one layer for every cell of a ``(..., W)`` plane.
 
-    The shape-generic arithmetic behind both the per-trial ``(W,)`` sweep
-    (:meth:`FastSimulation._run_layer_vectorized`) and the trial-stacked
-    ``(S, W)`` kernel (:class:`repro.core.fast_batch.TrialStack`): every
-    operation broadcasts over the leading axes, so both callers evaluate
-    *the same* NumPy expressions elementwise and eligible cells produce
-    bit-identical floats.  Formulae mirror the scalar replay
+    The shape-generic arithmetic behind the trial-stacked ``(S, W)``
+    kernel (:class:`repro.core.fast_batch.TrialStack`): every operation
+    broadcasts over the leading axes, so a cell computes the same floats
+    whatever it is stacked with.  Formulae mirror the scalar replay
     operation-for-operation.
 
     ``prev`` holds the previous layer's send times (NaN = missing);
@@ -590,28 +588,29 @@ class FastSimulation:
         all predecessors; deadlocks on crashed predecessors exactly as the
         paper warns).
     vectorize:
-        Use the whole-layer array kernel where eligible (default).  The
-        scalar per-node replay remains the fallback for nodes adjacent to
-        faults or taking the via-``H_max``/missing-message branches; see
-        the module docstring.  ``False`` forces the scalar path everywhere.
+        Run through the trial-stacked array kernel as a stack of one
+        (default); cells adjacent to faults or taking the
+        via-``H_max``/missing-message branches go through the exact
+        batched fallback; see the module docstring.  ``False`` forces the
+        scalar per-node reference replay everywhere.
     campaign:
         Optional :class:`~repro.faults.campaign.ChaosCampaign` over the
         same base graph: the run compiles it into per-epoch adjacency +
         fault state and swaps graph/plan (re-gathering the vectorized
-        sweep's neighbor tensors) at epoch boundaries only.  ``fault_plan``
+        path's neighbor tensors) at epoch boundaries only.  ``fault_plan``
         stays the *static* plan every epoch merges over.  The layer-0
         schedule is gathered once from the seed topology; membership
         changes silence a vertex's column via per-epoch crash masks rather
         than rewriting history.
     neighbor_backend:
-        Neighbor representation for the vectorized sweep: ``"dense"``
+        Neighbor representation for the vectorized path: ``"dense"``
         (padded ``(W, max_deg)`` gather tensors), ``"csr"``
         (segment-reduce over the base graph's
         :meth:`~repro.topology.base_graph.BaseGraph.neighbor_csr`
         arrays, ``O(nnz)`` per step), or ``"auto"`` (default: CSR for
         large graphs whose padding wastes >= 2x, dense otherwise).
         Both backends are bit-identical on eligible cells; campaign
-        runs re-resolve ``"auto"`` per epoch topology.
+        runs always use the dense padded tables.
     kernel_backend:
         Array-op implementation behind the layer-step kernels:
         ``"numpy"`` (default resolution), ``"numba"`` (fused JIT
@@ -674,14 +673,6 @@ class FastSimulation:
         self.kernel_backend = kernel_backend
         self._kernel_ops = resolve_kernel_ops(kernel_backend)
         self._rates = clock_rates
-        # Per-layer rate arrays for the vectorized sweep, rebuilt every run
-        # so in-place edits of a rates dict between runs are honored.  The
-        # per-layer *delay* arrays are cached on the delay model itself
-        # (see :class:`~repro.delays.models.DelayModel`), so they survive
-        # simulation reconstruction -- a batch sweep rebuilding one
-        # FastSimulation per trial per run pays the per-edge Python gather
-        # only once per model.
-        self._rate_cache: Dict[object, np.ndarray] = {}
         # (num_pulses, W) layer-0 schedule, gathered once per run in
         # :meth:`_begin_run`; consumed row by row in :meth:`_run_layer0`.
         self._layer0_times: Optional[np.ndarray] = None
@@ -718,7 +709,21 @@ class FastSimulation:
         result serves its skew accessors from ``result.streamed``
         (bitwise identical to the materialized reducers; ``reducers``
         defaults to :func:`~repro.analysis.streaming.default_reducers`).
+
+        With ``vectorize=True`` the run is a one-trial
+        :class:`~repro.core.fast_batch.TrialStack`; unlike a stack's own
+        results, the returned matrices are writable.  ``vectorize=False``
+        replays every node through the scalar reference.
         """
+        if self.vectorize:
+            from repro.core.fast_batch import TrialStack
+
+            stack = TrialStack(
+                [self],
+                neighbor_backend=self.neighbor_backend,
+                kernel_backend=self.kernel_backend,
+            )
+            return stack._run(num_pulses, reducers, store_times)[0]
         stream = None
         if reducers is not None or not store_times:
             from repro.analysis.streaming import (
@@ -740,15 +745,9 @@ class FastSimulation:
         result = self._begin_run(
             num_pulses, storage_pulses=num_pulses if store_times else 1
         )
-        # The sweep structures depend on the fault plan, so they are built
-        # per run (tests mutate ``fault_plan`` between construction and run).
-        sweep = _VectorSweep(self) if self.vectorize else None
         num_layers = self.graph.num_layers
-        # Campaign state: graph/plan swap at epoch boundaries; sweeps are
-        # cached by epoch state so a revisited topology (an edge flapping
-        # back up) reuses its gather tensors instead of rebuilding them.
+        # Campaign state: graph/plan swap at epoch boundaries.
         seed_state = (self.graph, self.fault_plan, self._layer0_has_fault)
-        sweep_cache: Dict[Tuple, "_VectorSweep"] = {}
         epoch_index = -1
         try:
             for k in range(num_pulses):
@@ -756,13 +755,7 @@ class FastSimulation:
                     index = schedule.epoch_index(k)
                     if index != epoch_index:
                         epoch_index = index
-                        epoch = schedule.epochs[index]
-                        self._enter_epoch(epoch)
-                        if self.vectorize:
-                            sweep = sweep_cache.get(epoch.state_key)
-                            if sweep is None:
-                                sweep = _VectorSweep(self)
-                                sweep_cache[epoch.state_key] = sweep
+                        self._enter_epoch(schedule.epochs[index])
                 rk = k if store_times else 0
                 if not store_times and k > 0:
                     # Recycle the rolling one-pulse window for this iteration.
@@ -778,10 +771,7 @@ class FastSimulation:
                         result.corrections[rk, 0][None],
                     )
                 for layer in range(1, num_layers):
-                    if sweep is not None:
-                        self._run_layer_vectorized(result, k, layer, sweep, rk)
-                    else:
-                        self._run_layer(result, k, layer, rk)
+                    self._run_layer(result, k, layer, rk)
                     if stream is not None:
                         stream.update(
                             k, layer, result.times[rk, layer][None],
@@ -818,13 +808,12 @@ class FastSimulation:
     ) -> FastResult:
         """Validate, reset the per-run caches, and allocate the result.
 
-        Shared by :meth:`run` and the trial-stacked runner
+        Shared by the scalar :meth:`run` and the trial-stacked runner
         (:class:`repro.core.fast_batch.TrialStack`), which drives many
         simulations through the same pulse/layer recurrence in lock-step.
         Also gathers the whole ``(num_pulses, W)`` layer-0 schedule once
-        (:meth:`Layer0Schedule.pulse_times_array`), replacing the old
-        per-node/per-pulse ``pulse_time`` loop on every path -- including
-        the scalar one, where the array rows hold bit-identical values.
+        (:meth:`Layer0Schedule.pulse_times_array`); its rows hold values
+        bit-identical to the per-node ``pulse_time`` queries.
         ``layer0_times`` injects a pre-gathered ``(num_pulses, W)`` block
         instead -- the trial stack slices each trial's rows out of one
         stacked :func:`~repro.core.layer0.stacked_pulse_times` fill --
@@ -846,7 +835,6 @@ class FastSimulation:
             allocate=allocate,
             storage_pulses=storage_pulses,
         )
-        self._rate_cache = {}
         if layer0_times is None and gather_layer0:
             layer0_times = self.layer0.pulse_times_array(
                 self.graph.base, num_pulses
@@ -865,11 +853,7 @@ class FastSimulation:
         layer-0 *schedule* (gathered once from the seed base in
         :meth:`_begin_run`) is left alone -- an absent vertex's column is
         silenced by the epoch plan's crash mask, not by rewriting the
-        schedule.  Rate caches survive (rates are keyed by node id, and
-        the vertex set never changes); delay-array caches live on the
-        delay model keyed by edge structure, so each distinct epoch
-        topology gathers its arrays once and revisited topologies hit
-        the cache.
+        schedule.
         """
         self.graph = epoch.graph
         self.fault_plan = epoch.fault_plan
@@ -940,96 +924,6 @@ class FastSimulation:
             self._record_fault_sends(result, node, k, outcome.pulse_time)
         else:
             result.times[rk, layer, v] = outcome.pulse_time
-
-    # ------------------------------------------------------------------
-    # Vectorized layer sweep
-    # ------------------------------------------------------------------
-    def _run_layer_vectorized(
-        self,
-        result: FastResult,
-        k: int,
-        layer: int,
-        sweep: "_VectorSweep",
-        row_index: Optional[int] = None,
-    ) -> None:
-        """Advance pulse ``k`` of ``layer`` for all ``W`` nodes at once.
-
-        Covers the executions whose loop (the do-until replay under the
-        full semantics, the wait-for-everything gather under Algorithm 1)
-        completes with all registers filled; every other node falls back
-        to :meth:`_run_node_and_record`.  The arithmetic lives in the
-        shape-generic :func:`_layer_step_kernel`, which mirrors the scalar
-        path operation-for-operation so both produce bit-identical floats.
-        ``row_index`` maps pulse ``k`` to its storage row (rolling-window
-        streamed runs store every pulse in row 0).
-        """
-        rk = k if row_index is None else row_index
-        prev = result.times[rk, layer - 1, :]  # (W,) send times, NaN = missing
-        own_delay, nb_delay = sweep.delay_arrays(layer, k)
-        rate = sweep.rate_array(layer, k)
-
-        if sweep.backend == "csr":
-            eligible, correction, branches, pulse_time, effective = (
-                _layer_step_kernel_csr(
-                    prev,
-                    own_delay,
-                    nb_delay,
-                    rate,
-                    sweep.indptr,
-                    sweep.indices,
-                    sweep.owner,
-                    sweep.has_neighbors,
-                    sweep.static_eligible[layer - 1],
-                    self.params,
-                    self.policy,
-                    self.algorithm == "simplified",
-                    ops=self._kernel_ops,
-                )
-            )
-        else:
-            eligible, correction, branches, pulse_time, effective = (
-                _layer_step_kernel(
-                    prev,
-                    own_delay,
-                    nb_delay,
-                    rate,
-                    sweep.nb_idx,
-                    sweep.nb_valid,
-                    sweep.static_eligible[layer - 1],
-                    self.params,
-                    self.policy,
-                    self.algorithm == "simplified",
-                    ops=self._kernel_ops,
-                )
-            )
-
-        layer_faulty = sweep.layer_has_fault[layer]
-        if not layer_faulty and eligible.all():
-            # Common case (fault-free layer, every node on the fast path):
-            # whole-row assignments, no boolean gathers.
-            result.corrections[rk, layer] = correction
-            result.branches[rk, layer] = branches
-            result.effective_corrections[rk, layer] = effective
-            result.protocol_times[rk, layer] = pulse_time
-            result.times[rk, layer] = pulse_time
-            return
-
-        result.corrections[rk, layer, eligible] = correction[eligible]
-        result.branches[rk, layer, eligible] = branches[eligible]
-        result.effective_corrections[rk, layer, eligible] = effective[eligible]
-        result.protocol_times[rk, layer, eligible] = pulse_time[eligible]
-        faulty_here = sweep.faulty[layer]
-        correct = eligible & ~faulty_here
-        result.times[rk, layer, correct] = pulse_time[correct]
-        if layer_faulty:
-            for v in np.nonzero(eligible & faulty_here)[0]:
-                self._record_fault_sends(
-                    result, (int(v), layer), k, float(pulse_time[v])
-                )
-        if not eligible.all():
-            self._run_fallback_batch(
-                result, k, layer, np.nonzero(~eligible)[0], row_index
-            )
 
     def _record_fault_sends(
         self, result: FastResult, node: NodeId, k: int, correct_time: float
@@ -1194,9 +1088,10 @@ class FastSimulation:
         branch_codes = np.full(n, BRANCH_CODES["none"], dtype=np.int8)
         normal = pulses & ~via_max
         if normal.any():
-            corr, br = _correction_step(
-                h_own, h_min, h_max, params, self.policy
-            )
+            with np.errstate(invalid="ignore", divide="ignore"):
+                corr, br = _correction_step(
+                    h_own, h_min, h_max, params, self.policy
+                )
             correction = np.where(normal, corr, correction)
             branch_codes = np.where(normal, br, branch_codes)
         with np.errstate(invalid="ignore"):
@@ -1448,159 +1343,3 @@ class FastSimulation:
             h_max=h_max,
         )
 
-
-class _VectorSweep:
-    """Index/mask structures backing the vectorized layer sweep.
-
-    Built once per :meth:`FastSimulation.run` (the fault plan may change
-    between runs).  Rate arrays are cached on the simulation per run;
-    delay arrays are cached on the *delay model* (keyed by edge structure
-    and layer/pulse), so they survive simulation reconstruction and are
-    never re-gathered edge by edge for the same model.  Edge tuples are
-    built from plain ``int`` vertices so delay models keyed or seeded by
-    edge identity see exactly the scalar path's edges.
-    """
-
-    def __init__(
-        self, sim: FastSimulation, backend: Optional[str] = None
-    ) -> None:
-        self.sim = sim
-        graph = sim.graph
-        base = graph.base
-        width = base.num_nodes
-        self.width = width
-        self.backend = _resolve_backend(
-            base, sim.neighbor_backend if backend is None else backend
-        )
-        self.nb_lists = [tuple(base.neighbors(v)) for v in base.nodes()]
-        # Identifies the edge set the delay gathers cover: two graphs with
-        # equal width and adjacency query exactly the same edge tuples, so
-        # they may share a delay model's array cache.
-        self.edge_signature = (width, tuple(self.nb_lists))
-        self.max_deg = base.max_degree() if width else 0
-        if self.backend == "csr":
-            # CSR mode never materializes the O(W * max_deg) padded
-            # tensors -- that allocation is exactly what it exists to
-            # avoid on hub-skewed graphs.
-            indptr, indices, _ = base.neighbor_csr()
-            self.indptr = indptr
-            self.indices = indices
-            degrees = np.diff(indptr)
-            self.owner = np.repeat(
-                np.arange(width, dtype=np.int64), degrees
-            )
-            self.nb_idx = None
-            self.nb_valid = None
-            self.has_neighbors = degrees > 0
-        else:
-            self.indptr = None
-            self.indices = None
-            self.owner = None
-            # Padded gather indices come from the graph's own cache
-            # (adjacency is immutable), shared across trials, runs, and
-            # stacks.
-            self.nb_idx, self.nb_valid = base.neighbor_index_arrays()
-            self.has_neighbors = self.nb_valid.any(axis=1)
-        faulty = sim.fault_plan.faulty_mask(graph)
-        self.faulty = faulty
-        # has_faulty_pred[l - 1] flags nodes of layer ``l`` with a faulty
-        # own-copy or neighbor-copy predecessor on layer ``l - 1``.
-        prev = faulty[:-1]
-        if not faulty.any():
-            nb_faulty = np.zeros_like(prev)
-        elif self.backend == "csr":
-            nnz = self.indices.shape[0]
-            if nnz == 0:
-                nb_faulty = np.zeros_like(prev)
-            else:
-                vals = prev[:, self.indices].astype(np.uint8)
-                starts = np.minimum(indptr[:-1], nnz - 1)
-                seg = np.maximum.reduceat(vals, starts, axis=-1)
-                seg[:, ~self.has_neighbors] = 0
-                nb_faulty = seg.astype(bool)
-        else:
-            nb_faulty = (
-                prev[:, self.nb_idx] & self.nb_valid[None, :, :]
-            ).any(axis=2)
-        self.has_faulty_pred = prev | nb_faulty
-        self.static_eligible = self.has_neighbors[None, :] & ~self.has_faulty_pred
-        self.layer_has_fault = [bool(row.any()) for row in faulty]
-
-    def delay_arrays(self, layer: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Own-copy ``(W,)`` and neighbor-copy delays for one layer.
-
-        Neighbor delays are ``(W, max_deg)`` padded in dense mode and a
-        flat ``(nnz,)`` vector in CSR segment order in ``csr`` mode.
-        Cached on the delay model keyed by the edge structure and layer
-        (plus pulse unless the model is pulse-invariant), so rebuilt
-        simulations over the same model skip the per-edge Python gather;
-        models not subclassing :class:`~repro.delays.models.DelayModel`
-        are gathered uncached.
-        """
-        model = self.sim.delay_model
-        csr = self.backend == "csr"
-        key = layer if getattr(model, "pulse_invariant", False) else (layer, k)
-        if csr:
-            # CSR delays are a flat (nnz,) vector in segment order; keep
-            # them on a distinct cache key so dense and CSR consumers of
-            # the same model never hand each other the wrong shape.
-            key = ("csr", key)
-        model_cache = getattr(model, "_edge_array_cache", None)
-        cache = (
-            None
-            if model_cache is None
-            else model_cache.setdefault(self.edge_signature, {})
-        )
-        cached = None if cache is None else cache.get(key)
-        if cached is None:
-            own = np.empty(self.width)
-            if csr:
-                nnz = self.indices.shape[0]
-                if type(model) is UniformDelayModel:
-                    # A uniform model returns the same constant for every
-                    # edge; the bulk fill is bitwise-identical to the
-                    # per-edge queries and makes million-edge layers
-                    # gather in O(1) Python calls.
-                    own.fill(model.value)
-                    nb = np.full(nnz, model.value)
-                else:
-                    nb = np.empty(nnz)
-                    pos = 0
-                    for v, nbs in enumerate(self.nb_lists):
-                        own[v] = model.delay(((v, layer - 1), (v, layer)), k)
-                        for w in nbs:
-                            nb[pos] = model.delay(
-                                ((w, layer - 1), (v, layer)), k
-                            )
-                            pos += 1
-            else:
-                nb = np.zeros((self.width, max(self.max_deg, 1)))
-                for v, nbs in enumerate(self.nb_lists):
-                    own[v] = model.delay(((v, layer - 1), (v, layer)), k)
-                    for j, w in enumerate(nbs):
-                        nb[v, j] = model.delay(((w, layer - 1), (v, layer)), k)
-            cached = (own, nb)
-            if cache is not None:
-                cache[key] = cached
-        return cached
-
-    def rate_array(self, layer: int, k: int) -> np.ndarray:
-        """Hardware clock rates of the layer's nodes during pulse ``k``."""
-        rates = self.sim._rates
-        if rates is None:
-            cached = self.sim._rate_cache.get("ones")
-            if cached is None:
-                cached = np.ones(self.width)
-                self.sim._rate_cache["ones"] = cached
-            return cached
-        if callable(rates):
-            return np.array(
-                [float(rates((v, layer), k)) for v in range(self.width)]
-            )
-        cached = self.sim._rate_cache.get(layer)
-        if cached is None:
-            cached = np.array(
-                [float(rates.get((v, layer), 1.0)) for v in range(self.width)]
-            )
-            self.sim._rate_cache[layer] = cached
-        return cached

@@ -1,16 +1,15 @@
-"""Trial-stacked ``(S, W)`` kernel for the fast simulator.
+"""Trial-stacked ``(S, W)`` kernel: the fast simulator's vectorized path.
 
-:class:`~repro.core.fast.FastSimulation` vectorizes one pulse of one layer
-across the ``W`` base vertices, but a parameter sweep still walks the
-pulse/layer recurrence (Lemma B.1) once per trial in Python.  Because the
-recurrence has no cross-trial coupling -- trial ``s``'s pulse ``k`` of
-layer ``l`` depends only on trial ``s``'s pulse ``k`` of layer ``l - 1`` --
-``S`` compatible trials can advance through the recurrence in lock-step,
-with every per-layer array op widened from shape ``(W,)`` to ``(S, W)``.
-That is what :class:`TrialStack` does: reception times, do-until exit
-test, correction, and pulse time are computed for the whole ``(S, W)``
-plane at once, so the Python-loop overhead per layer step is paid once per
-*batch* instead of once per *trial*.
+The recurrence of Lemma B.1 has no cross-trial coupling -- trial ``s``'s
+pulse ``k`` of layer ``l`` depends only on trial ``s``'s pulse ``k`` of
+layer ``l - 1`` -- so ``S`` compatible trials can advance through it in
+lock-step, with every per-layer array op widened from shape ``(W,)`` to
+``(S, W)``.  That is what :class:`TrialStack` does: reception times,
+do-until exit test, correction, and pulse time are computed for the whole
+``(S, W)`` plane at once, so the Python-loop overhead per layer step is
+paid once per *batch* instead of once per *trial*.  It is also the only
+vectorized path: :meth:`FastSimulation.run(vectorize=True)
+<repro.core.fast.FastSimulation.run>` runs as a stack of one.
 
 Heterogeneous geometries (padded stacking)
 ------------------------------------------
@@ -29,56 +28,42 @@ numeric parameters (``kappa``/``vartheta``/``Lambda``/``d``) and the
 policy's ``jump_slack`` broadcast as per-trial ``(S, 1)`` columns.  The
 layer-0 schedules of the whole stack are gathered as one
 ``(S, P, W_max)`` block by :func:`~repro.core.layer0.stacked_pulse_times`
-and written plane by plane, instead of ``S`` per-trial ``(P, W)``
-gathers and row loops.
+and written plane by plane.  Delays and clock rates are gathered as
+``(S, L_max, W_max)`` planes once per run (again each pulse for
+pulse-varying models and callable rate providers), so a layer step reads
+views instead of re-stacking per-trial arrays.
 
-Depth-aware compaction (dropping finished rows)
------------------------------------------------
-Depth padding makes mixed-depth stacks *correct*, but without further
-care a shallow trial keeps riding the layer loop as a dead NaN row until
-the deepest trial finishes -- on a strongly depth-skewed batch most of
-the ``(S, W_max)`` plane is then inert ballast.  With ``compact_depth``
-(the default) the stack instead *drops* a trial's row from the working
-plane as soon as the trial has nothing left to compute:
+Compaction (dropping finished rows and unused lanes)
+----------------------------------------------------
+Padding makes mixed-geometry stacks *correct*; compaction keeps them
+cheap.  A trial's row leaves the working plane as soon as the trial has
+nothing left to compute:
 
 * **depth exhausted** -- ``layer >= num_layers_s``: the trial's window
   simply has no such layer, or
 * **gone dead** -- no node of the trial's previous layer produced a
   pulse for the current iteration (possible only with faults, e.g. a
   fully crashed layer), so no message will ever reach this or any deeper
-  layer of this pulse; today's code would replay every such cell through
-  the scalar fallback just to record "no pulse".
+  layer of this pulse.
 
-The surviving trials are re-gathered through an ``active_rows`` index
-into compact ``(S_active, W_max)`` state/parameter/neighbor arrays
-(cached per distinct row set -- the depth-driven sets are nested, so
-there are at most as many as distinct depths), the kernel runs on the
-compact plane, and the results scatter back to the original trial slots
--- bit-identical to the uncompacted stack, which in turn is bit-identical
-to per-trial runs.  A depth-skewed batch therefore pays for the layer
-steps its trials actually run (``sum_s L_s``) instead of ``S * L_max``.
-:attr:`TrialStack.compaction_stats` records the padded vs executed
-row-step counts after each :meth:`TrialStack.run`.
+On padded stacks each step additionally gathers only the
+``active_lanes`` -- the union, over the active rows, of lanes some trial
+still needs.  A lane is needed by trial ``s`` when it is inside the
+trial's real width and, under a chaos campaign, the vertex is present in
+at least one epoch of the remaining horizon: a vertex absent from the
+current epoch through the end of the run can never pulse, receive, or
+send again, so its lane is freed at the epoch boundary.
 
-Width-aware compaction (dropping unused lanes)
-----------------------------------------------
-The width axis has the mirror problem: one wide trial pads every other
-trial's plane to ``W_max``, and the padding keeps riding the kernel even
-after the wide trial drops out of the layer loop.  With ``compact_width``
-(the default) each step additionally gathers only the ``active_lanes``
--- the union, over the *active rows*, of lanes some trial still needs.
-A lane is needed by trial ``s`` when it is inside the trial's real width
-and, under a chaos campaign, the vertex is present in at least one epoch
-of the remaining horizon: a vertex absent from the current epoch through
-the end of the run can never pulse, receive, or send again, so its lane
-is freed at the epoch boundary (epoch re-gathers re-derive the free-lane
-set).  Neighbor tables are re-indexed into the compact column space
-(``lane_pos``), the kernel runs on the ``(S_active, C)`` plane, and
-results scatter back through ``rows x lanes`` -- dropped lanes keep
-their initial padding, which is exactly what the uncompacted path writes
-there (padding is never eligible, and a horizon-absent vertex's scalar
-replay records NaN/"none", the padding values, and no fault sends).
-Output is bit-identical with the knob on or off.
+The surviving trials and lanes are re-gathered into a compact
+``(S_active, C)`` plane (neighbor tables re-indexed into the compact
+column space; cached per distinct row/lane set), the kernel runs on it,
+and the results scatter back to the original slots.  Dropped cells keep
+their initial padding, which is exactly what running them would write
+(padding is never eligible, and a silent or horizon-absent cell's scalar
+replay records NaN/"none" and no fault sends).  A depth-skewed batch
+therefore pays for the layer steps its trials actually run
+(``sum_s L_s``) instead of ``S * L_max``; :attr:`TrialStack.compaction_stats`
+records the padded vs executed row- and lane-step counts of each run.
 
 CSR neighbor backend (sparse/skewed graphs)
 -------------------------------------------
@@ -89,8 +74,9 @@ instead of the padded ``(W, max_deg)`` tensors: per-step cost becomes
 hub-skewed or million-node sparse layer through the fast path -- see
 :func:`repro.core.fast._layer_step_kernel_csr`.  The backend is chosen
 per stack by the density heuristic (``neighbor_backend="auto"``) or
-forced (``"dense"``/``"csr"``); mixed-adjacency stacks fall back to the
-dense padded path (recorded in ``compaction_stats["backend_fallback"]``).
+forced (``"dense"``/``"csr"``); mixed-adjacency and campaign stacks fall
+back to the dense padded path (recorded in
+``compaction_stats["backend_fallback"]``).
 
 Stacking requirements (checked by :func:`stack_compatibility`)
 --------------------------------------------------------------
@@ -111,23 +97,21 @@ consumes.
 
 Exactness
 ---------
-The stacked kernel evaluates *the same* NumPy expressions as
-:meth:`FastSimulation._run_layer_vectorized` -- both call the
-shape-generic :func:`~repro.core.fast._layer_step_kernel`, here with an
-extra leading axis -- so eligible cells produce bit-identical floats
-(per-trial parameter columns broadcast elementwise and change no
-operation).  The exact per-trial eligibility test of the per-trial kernel
-is applied cell by cell: fault-adjacent, via-``H_max``, and
-missing-message cells drop out of the array path and are replayed through
-the scalar :meth:`FastSimulation._run_node_and_record` of their own
-simulation, same as in a per-trial run.  The test suite asserts equality
-against both the per-trial vectorized and the scalar reference paths, for
-both algorithms, over randomized mixed-geometry stacks.
+The kernel is the shape-generic :func:`~repro.core.fast._layer_step_kernel`,
+which mirrors the scalar replay operation-for-operation; per-trial
+parameter columns broadcast elementwise and change no operation, so a
+cell computes the same floats whatever it is stacked with.  Cells the
+kernel cannot decide -- fault-adjacent, via-``H_max``, early-exit, and
+missing-message cells -- are replayed through the exact batched fallback
+(:meth:`FastSimulation._run_fallback_batch`) of their own simulation.
+The test suite asserts bitwise equality against the scalar reference
+(``vectorize=False``) and 1e-9 agreement with the event engine, for both
+algorithms, over randomized mixed-geometry stacks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -137,12 +121,12 @@ from repro.core.fast import (
     NEIGHBOR_BACKENDS,
     FastResult,
     FastSimulation,
-    _VectorSweep,
     _layer_step_kernel,
     _layer_step_kernel_csr,
     _resolve_backend,
 )
 from repro.core.layer0 import stacked_pulse_row, stacked_pulse_times
+from repro.delays.models import UniformDelayModel
 
 __all__ = ["TrialStack", "stack_compatibility"]
 
@@ -257,6 +241,159 @@ class _StackedPolicy:
         return taken
 
 
+class _TrialSweep:
+    """One trial's gather/eligibility structures and input blocks.
+
+    Built per run (the fault plan may change between runs) and per
+    campaign epoch state.  Delay blocks are cached on the *delay model*
+    (keyed by edge structure, depth, backend, and -- unless the model is
+    pulse-invariant -- the pulse), so they survive simulation
+    reconstruction and are gathered edge by edge once per model.  Edge
+    tuples are built from plain ``int`` vertices so delay models keyed or
+    seeded by edge identity see exactly the scalar path's edges.
+    """
+
+    def __init__(self, sim: FastSimulation, backend: str) -> None:
+        self.sim = sim
+        graph = sim.graph
+        base = graph.base
+        width = base.num_nodes
+        self.width = width
+        self.num_layers = graph.num_layers
+        self.backend = backend
+        self.nb_lists = [tuple(base.neighbors(v)) for v in base.nodes()]
+        # Identifies the edge set the delay gathers cover: two graphs with
+        # equal width and adjacency query exactly the same edge tuples, so
+        # they may share a delay model's block cache.
+        self.edge_signature = (width, tuple(self.nb_lists))
+        self.max_deg = base.max_degree() if width else 0
+        if backend == "csr":
+            # CSR mode never materializes the O(W * max_deg) padded
+            # tensors -- that allocation is exactly what it exists to
+            # avoid on hub-skewed graphs.
+            indptr, indices, _ = base.neighbor_csr()
+            self.indptr = indptr
+            self.indices = indices
+            degrees = np.diff(indptr)
+            self.owner = np.repeat(np.arange(width, dtype=np.int64), degrees)
+            self.nb_idx = None
+            self.nb_valid = None
+            self.has_neighbors = degrees > 0
+        else:
+            # Padded gather indices come from the graph's own cache
+            # (adjacency is immutable), shared across trials and runs.
+            self.nb_idx, self.nb_valid = base.neighbor_index_arrays()
+            self.has_neighbors = self.nb_valid.any(axis=1)
+        faulty = sim.fault_plan.faulty_mask(graph)
+        self.faulty = faulty
+        # has_faulty_pred[l - 1] flags nodes of layer ``l`` with a faulty
+        # own-copy or neighbor-copy predecessor on layer ``l - 1``.
+        prev = faulty[:-1]
+        if not faulty.any():
+            nb_faulty = np.zeros_like(prev)
+        elif backend == "csr":
+            nnz = self.indices.shape[0]
+            if nnz == 0:
+                nb_faulty = np.zeros_like(prev)
+            else:
+                vals = prev[:, self.indices].astype(np.uint8)
+                starts = np.minimum(self.indptr[:-1], nnz - 1)
+                seg = np.maximum.reduceat(vals, starts, axis=-1)
+                seg[:, ~self.has_neighbors] = 0
+                nb_faulty = seg.astype(bool)
+        else:
+            nb_faulty = (
+                prev[:, self.nb_idx] & self.nb_valid[None, :, :]
+            ).any(axis=2)
+        self.static_eligible = self.has_neighbors[None, :] & ~(prev | nb_faulty)
+
+    def delay_block(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Own ``(L, W)`` and neighbor-copy delays of every layer, pulse ``k``.
+
+        Neighbor delays are ``(L, W, max(max_deg, 1))`` padded in dense
+        mode and ``(L, nnz)`` in CSR segment order in ``csr`` mode; row
+        ``l`` holds the delays of the edges *into* layer ``l`` (row 0 is
+        unused).  Cached on the delay model; models not subclassing
+        :class:`~repro.delays.models.DelayModel` are gathered uncached.
+        """
+        model = self.sim.delay_model
+        key: Tuple = ("block", self.num_layers, self.backend)
+        if not getattr(model, "pulse_invariant", False):
+            key += (k,)
+        model_cache = getattr(model, "_edge_array_cache", None)
+        cache = (
+            None
+            if model_cache is None
+            else model_cache.setdefault(self.edge_signature, {})
+        )
+        cached = None if cache is None else cache.get(key)
+        if cached is None:
+            cached = self._gather_delays(model, k)
+            if cache is not None:
+                cache[key] = cached
+        return cached
+
+    def _gather_delays(self, model, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The per-edge Python gather behind :meth:`delay_block`."""
+        csr = self.backend == "csr"
+        num_layers, width = self.num_layers, self.width
+        own = np.zeros((num_layers, width))
+        if csr:
+            nb = np.zeros((num_layers, self.indices.shape[0]))
+        else:
+            nb = np.zeros((num_layers, width, max(self.max_deg, 1)))
+        if type(model) is UniformDelayModel:
+            # A uniform model returns the same constant for every edge;
+            # the bulk fill is bitwise-identical to the per-edge queries
+            # and makes million-edge layers gather in O(1) Python calls.
+            own[1:] = model.value
+            if csr:
+                nb[1:] = model.value
+            else:
+                nb[1:, self.nb_valid] = model.value
+            return own, nb
+        delay = model.delay
+        for layer in range(1, num_layers):
+            pos = 0
+            for v, nbs in enumerate(self.nb_lists):
+                own[layer, v] = delay(((v, layer - 1), (v, layer)), k)
+                for j, w in enumerate(nbs):
+                    value = delay(((w, layer - 1), (v, layer)), k)
+                    if csr:
+                        nb[layer, pos] = value
+                        pos += 1
+                    else:
+                        nb[layer, v, j] = value
+        return own, nb
+
+    def rate_block(self, k: int) -> np.ndarray:
+        """Hardware clock rates of every node during pulse ``k``: ``(L, W)``.
+
+        Rebuilt every run, so in-place edits of a rates dict between runs
+        are honored.  Row 0 (layer 0 never runs the kernel) is 1.
+        """
+        rates = self.sim._rates
+        num_layers, width = self.num_layers, self.width
+        block = np.ones((num_layers, width))
+        if rates is None or num_layers < 2:
+            return block
+        if callable(rates):
+            values = [
+                rates((v, layer), k)
+                for layer in range(1, num_layers)
+                for v in range(width)
+            ]
+        else:
+            get = rates.get
+            values = [
+                get((v, layer), 1.0)
+                for layer in range(1, num_layers)
+                for v in range(width)
+            ]
+        block[1:] = np.array(values, dtype=float).reshape(num_layers - 1, width)
+        return block
+
+
 class TrialStack:
     """Advance ``S`` compatible simulations through the recurrence together.
 
@@ -267,27 +404,15 @@ class TrialStack:
         :func:`stack_compatibility` (same algorithm, vectorized, same
         structural policy switches); a :class:`ValueError` names the first
         violation otherwise.  Geometries may differ -- narrower/shallower
-        trials are padded with inert cells.
-    compact_depth:
-        Drop finished trials out of the layer loop (depth exhausted, or
-        provably silent for the rest of the iteration) and run the kernel
-        on the compacted ``(S_active, W_max)`` plane; see the module
-        docstring.  The default.  ``False`` keeps every row riding the
-        full ``L_max`` loop (the pre-compaction behavior); output is
-        bit-identical either way.
-    compact_width:
-        Additionally drop lanes no active trial needs (width padding, and
-        vertices absent for the whole remaining campaign horizon) and run
-        the kernel on the ``(S_active, C)`` column-compacted plane; see
-        the module docstring.  The default.  Only engages on mixed-width
-        (padded) stacks; output is bit-identical either way.
+        trials are padded with inert cells, and compaction drops finished
+        rows and unused lanes (see the module docstring).
     neighbor_backend:
         ``"auto"`` (default), ``"dense"``, or ``"csr"``: the neighbor
         representation of the stacked kernel.  ``"auto"`` picks CSR for
         uniform stacks over large sparse/skewed base graphs (see
         :func:`repro.core.fast._prefer_csr`) and the dense padded
-        tensors otherwise; mixed-adjacency stacks always run dense
-        (``compaction_stats["backend_fallback"]`` says why).
+        tensors otherwise; mixed-adjacency and campaign stacks always run
+        dense (``compaction_stats["backend_fallback"]`` says why).
     kernel_backend:
         ``"auto"`` (default), ``"numpy"``, or ``"numba"``: the array-op
         implementation behind the stacked layer-step kernels (see
@@ -310,7 +435,7 @@ class TrialStack:
     stack shares (``BatchResult`` adopts the block without copying).
 
     After :meth:`run`, :attr:`compaction_stats` holds the padded vs
-    executed row-step accounting of the last run.
+    executed row- and lane-step accounting of the last run.
 
     Example
     -------
@@ -332,8 +457,6 @@ class TrialStack:
     def __init__(
         self,
         sims: Sequence[FastSimulation],
-        compact_depth: bool = True,
-        compact_width: bool = True,
         neighbor_backend: str = "auto",
         kernel_backend: str = "auto",
     ) -> None:
@@ -346,8 +469,6 @@ class TrialStack:
                 f"got {neighbor_backend!r}"
             )
         self.sims: List[FastSimulation] = list(sims)
-        self.compact_depth = bool(compact_depth)
-        self.compact_width = bool(compact_width)
         self.neighbor_backend = neighbor_backend
         # Eager resolution, mirroring FastSimulation: validates the name
         # and raises the install hint for an explicit "numba" without
@@ -357,123 +478,6 @@ class TrialStack:
         #: Row/lane-step accounting of the last :meth:`run`; see the
         #: module docstring.  ``None`` until the first run completes.
         self.compaction_stats: Optional[Dict[str, object]] = None
-
-    # ------------------------------------------------------------------
-    # Stacked per-layer inputs
-    # ------------------------------------------------------------------
-    def _delay_stack(
-        self,
-        sweeps: Sequence[_VectorSweep],
-        cache: Dict[object, Tuple[np.ndarray, np.ndarray]],
-        layer: int,
-        k: int,
-        rows: Optional[np.ndarray] = None,
-        lanes: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Own ``(S, W)`` and neighbor ``(S, W, max_deg)`` delay arrays.
-
-        Each sweep's per-trial arrays come from (and fill) its simulation's
-        own delay cache; the stacked copies are cached here per layer when
-        every model is pulse-invariant, else per ``(layer, k)``.  With
-        compaction, ``rows`` selects the active trials and only their
-        arrays are gathered (the cache key then carries the row set --
-        depth-driven sets are nested, so at most one entry per distinct
-        depth survives), and ``lanes`` slices the active columns out of
-        the row-compacted arrays (cached under the extended key).  On a
-        CSR stack the neighbor array is the flat ``(S, nnz)`` segment
-        vector instead (lane compaction never coexists with CSR: CSR
-        requires a uniform stack, lanes a padded one).  Trials without
-        this layer (padded depth) contribute inert NaN/zero rows and are
-        never queried, so delay models only ever see edges that exist in
-        their own graph.
-        """
-        key: object = layer if self._all_pulse_invariant else (layer, k)
-        if rows is not None:
-            key = (key, rows.tobytes())
-        if lanes is not None:
-            full_own, full_nb = self._delay_stack(sweeps, cache, layer, k, rows)
-            key = (key, "lanes", lanes.tobytes())
-            cached = cache.get(key)
-            if cached is None:
-                cached = (full_own[:, lanes], full_nb[:, lanes, :])
-                cache[key] = cached
-            return cached
-        cached = cache.get(key)
-        if cached is None:
-            if self._uniform:
-                selected = (
-                    sweeps if rows is None else [sweeps[s] for s in rows]
-                )
-                per_trial = [sw.delay_arrays(layer, k) for sw in selected]
-                cached = (
-                    np.stack([own for own, _ in per_trial]),
-                    np.stack([nb for _, nb in per_trial]),
-                )
-            else:
-                indices = np.arange(len(sweeps)) if rows is None else rows
-                own = np.full((len(indices), self._width), np.nan)
-                nb = np.zeros((len(indices), self._width, self._max_deg))
-                for i, s in enumerate(indices):
-                    if layer >= self._depths[s]:
-                        continue
-                    own_s, nb_s = sweeps[s].delay_arrays(layer, k)
-                    own[i, : own_s.shape[0]] = own_s
-                    nb[i, : nb_s.shape[0], : nb_s.shape[1]] = nb_s
-                cached = (own, nb)
-            cache[key] = cached
-        return cached
-
-    def _rate_stack(
-        self,
-        sweeps: Sequence[_VectorSweep],
-        cache: Dict[object, np.ndarray],
-        layer: int,
-        k: int,
-        rows: Optional[np.ndarray] = None,
-        lanes: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Clock rates of the (active) trials' nodes during pulse ``k``.
-
-        Inert cells get rate 1 (never read through an eligible lane, but
-        a finite value keeps the whole-plane arithmetic NaN-clean).
-        ``lanes`` slices the active columns out of the row-compacted
-        array, mirroring :meth:`_delay_stack`.
-        """
-        if lanes is not None:
-            full = self._rate_stack(sweeps, cache, layer, k, rows)
-            key = (layer, None if rows is None else rows.tobytes(),
-                   "lanes", lanes.tobytes())
-            if self._rates_static:
-                cached = cache.get(key)
-                if cached is not None:
-                    return cached
-            sliced = full[:, lanes]
-            if self._rates_static:
-                cache[key] = sliced
-            return sliced
-        key: object = (
-            layer if rows is None else (layer, rows.tobytes())
-        )
-        if self._rates_static:
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-        # Callable rate providers may depend on the pulse; query per step
-        # exactly as the per-trial kernel does.
-        if self._uniform:
-            selected = sweeps if rows is None else [sweeps[s] for s in rows]
-            stacked = np.stack([sw.rate_array(layer, k) for sw in selected])
-        else:
-            indices = np.arange(len(sweeps)) if rows is None else rows
-            stacked = np.ones((len(indices), self._width))
-            for i, s in enumerate(indices):
-                if layer >= self._depths[s]:
-                    continue
-                row = sweeps[s].rate_array(layer, k)
-                stacked[i, : row.shape[0]] = row
-        if self._rates_static:
-            cache[key] = stacked
-        return stacked
 
     # ------------------------------------------------------------------
     # Main loop
@@ -497,8 +501,45 @@ class TrialStack:
         accumulators (``result.streamed`` / ``streamed_row``; the
         matrices are ``None``).  Streamed statistics are bitwise
         identical to the materialized reducers (see
-        :mod:`repro.analysis.streaming`).
+        :mod:`repro.analysis.streaming`).  Materialized results are
+        frozen windows of the shared block (see the class notes).
         """
+        results = self._run(num_pulses, reducers, store_times)
+        if not store_times:
+            return results
+        # Freeze the shared block and hand it to every result: a write
+        # through any window would silently corrupt its siblings and any
+        # adopting BatchResult, and the attached block is what lets a
+        # single-stack BatchResult skip re-materializing
+        # (S, K, L_max, W_max) copies.
+        times, protocol_times, corrections, effective, branches, faulty = (
+            self._block
+        )
+        block = _StackBlock(times, corrections, effective, faulty)
+        for array in self._block:
+            array.flags.writeable = False
+        for s, result in enumerate(results):
+            for attr in ("times", "protocol_times", "corrections",
+                         "effective_corrections", "branches"):
+                getattr(result, attr).flags.writeable = False
+            result.stack_block = block
+            result.stack_row = s
+        return results
+
+    def _run(
+        self,
+        num_pulses: int,
+        reducers: Optional[list],
+        store_times: bool,
+    ) -> List[FastResult]:
+        """:meth:`run` without the freeze: results own writable windows.
+
+        :meth:`FastSimulation.run` takes this entry for its stack of one,
+        so a single simulation's result matrices stay writable as they
+        always were.
+        """
+        if num_pulses < 1:
+            raise ValueError(f"num_pulses must be >= 1, got {num_pulses}")
         sims = self.sims
         num_trials = len(sims)
         widths = [sim.graph.width for sim in sims]
@@ -519,7 +560,7 @@ class TrialStack:
         ]
         has_campaign = any(s is not None for s in schedules)
         adjacency0 = sims[0].graph.base.adjacency
-        self._uniform = not has_campaign and all(
+        uniform = not has_campaign and all(
             depth == num_layers and sim.graph.base.adjacency == adjacency0
             for depth, sim in zip(depths, sims)
         )
@@ -576,29 +617,27 @@ class TrialStack:
         # One shared block per matrix; each FastResult holds the trial-s
         # window view, so scalar fallbacks and analysis code read/write
         # through it.  Cells outside a trial's window stay NaN (padding
-        # never turns eligible; the whole-plane fast path only runs on
-        # uniform stacks).
+        # never turns eligible).
         times = np.full(shape, np.nan)
         protocol_times = np.full(shape, np.nan)
         corrections = np.full(shape, np.nan)
         effective = np.full(shape, np.nan)
         branches = np.full(shape, BRANCH_CODES["none"], dtype=np.int8)
         for s, result in enumerate(results):
-            result.times = times[s, :, : depths[s], : widths[s]]
-            result.protocol_times = protocol_times[s, :, : depths[s], : widths[s]]
-            result.corrections = corrections[s, :, : depths[s], : widths[s]]
-            result.effective_corrections = effective[s, :, : depths[s], : widths[s]]
-            result.branches = branches[s, :, : depths[s], : widths[s]]
+            window = (s, slice(None), slice(depths[s]), slice(widths[s]))
+            result.times = times[window]
+            result.protocol_times = protocol_times[window]
+            result.corrections = corrections[window]
+            result.effective_corrections = effective[window]
+            result.branches = branches[window]
 
         # Resolve the neighbor backend for the whole stack.  CSR needs one
         # shared adjacency (the segment structure is per-graph), so only
         # uniform stacks qualify; an explicit "csr" request on a padded
         # stack falls back to dense and says so in compaction_stats.
         backend_fallback: Optional[str] = None
-        if self._uniform:
-            backend = _resolve_backend(
-                sims[0].graph.base, self.neighbor_backend
-            )
+        if uniform:
+            backend = _resolve_backend(sims[0].graph.base, self.neighbor_backend)
         else:
             backend = "dense"
             if self.neighbor_backend == "csr":
@@ -606,39 +645,31 @@ class TrialStack:
                     "csr requires a uniform-adjacency static stack; "
                     "ran dense padded instead"
                 )
-        sweeps = [_VectorSweep(sim, backend=backend) for sim in sims]
-        self._all_pulse_invariant = all(
-            getattr(sim.delay_model, "pulse_invariant", False) for sim in sims
-        )
-        self._rates_static = all(not callable(sim._rates) for sim in sims)
-        delay_cache: Dict[object, Tuple[np.ndarray, np.ndarray]] = {}
-        rate_cache: Dict[int, np.ndarray] = {}
+        sweeps = [_TrialSweep(sim, backend) for sim in sims]
 
         # Padded (S, ...) fault/eligibility structure.  ``active`` marks the
         # real (non-padding) cells; None on uniform stacks (all real).
-        if self._uniform:
-            nb_idx = sweeps[0].nb_idx
-            nb_valid = sweeps[0].nb_valid
+        if uniform:
+            sweep0 = sweeps[0]
+            nb_idx = sweep0.nb_idx
+            nb_valid = sweep0.nb_valid
             if backend == "csr":
-                sweep0 = sweeps[0]
                 self._csr = (
                     sweep0.indptr,
                     sweep0.indices,
                     sweep0.owner,
                     sweep0.has_neighbors,
                 )
-                self._max_deg = sweep0.max_deg
             else:
                 self._csr = None
-                self._max_deg = nb_idx.shape[1]
-            static_eligible = np.stack([sweep.static_eligible for sweep in sweeps])
-            faulty = np.stack([sweep.faulty for sweep in sweeps])
+            static_eligible = np.stack([sw.static_eligible for sw in sweeps])
+            faulty = np.stack([sw.faulty for sw in sweeps])
             active = None
         else:
             self._csr = None
-            self._max_deg = max(sweep.nb_idx.shape[1] for sweep in sweeps)
-            nb_idx = np.zeros((num_trials, width, self._max_deg), dtype=np.int64)
-            nb_valid = np.zeros((num_trials, width, self._max_deg), dtype=bool)
+            max_deg = max(sweep.nb_idx.shape[1] for sweep in sweeps)
+            nb_idx = np.zeros((num_trials, width, max_deg), dtype=np.int64)
+            nb_valid = np.zeros((num_trials, width, max_deg), dtype=bool)
             static_eligible = np.zeros(
                 (num_trials, num_layers - 1, width), dtype=bool
             )
@@ -649,15 +680,15 @@ class TrialStack:
                 nb_valid[s, :w, :cols] = sweep.nb_valid
                 static_eligible[s, : depths[s] - 1, :w] = sweep.static_eligible
                 faulty[s, : depths[s], :w] = sweep.faulty
-            layer_index = np.arange(num_layers)
             active = (
-                (layer_index[None, :, None] < np.array(depths)[:, None, None])
+                (np.arange(num_layers)[None, :, None] < np.array(depths)[:, None, None])
                 & (np.arange(width)[None, None, :] < np.array(widths)[:, None, None])
             )
         layer_has_fault = faulty.any(axis=(0, 2))
+        self._structs = (nb_idx, nb_valid, static_eligible, faulty, active)
 
         # Per-trial parameter/policy columns when trials disagree; the
-        # shared objects otherwise (scalar broadcasting, old fast path).
+        # shared objects otherwise (scalar broadcasting).
         params0, policy0 = sims[0].params, sims[0].policy
         self._params = (
             params0
@@ -670,42 +701,64 @@ class TrialStack:
             else _StackedPolicy(sims)
         )
 
+        # Delay and rate planes, (re)filled per trial at pulse 0, at each
+        # pulse for pulse-varying delay models / callable rate providers,
+        # and at campaign epoch boundaries (delays only: rates are keyed
+        # by node id and the vertex set never changes).
+        self._own_delay = np.full((num_trials, num_layers, width), np.nan)
+        if self._csr is not None:
+            self._nb_delay = np.zeros(
+                (num_trials, num_layers, self._csr[1].shape[0])
+            )
+        else:
+            self._nb_delay = np.zeros(
+                (num_trials, num_layers, width, nb_idx.shape[-1])
+            )
+        self._rate = np.ones((num_trials, num_layers, width))
+        delays_vary = [
+            not getattr(sim.delay_model, "pulse_invariant", False)
+            for sim in sims
+        ]
+        rates_vary = [callable(sim._rates) for sim in sims]
+
         # Stacked layer-0 plane writes (see _run_layer0_stacked);
         # self._layer0_block / self._l0_row_buffer were set above.
         self._l0_faulty = faulty[:, 0, :]
         self._l0_fault_trials = [
             s for s in range(num_trials) if bool(self._l0_faulty[s].any())
         ]
-        width_mask = (
-            np.ones((num_trials, width), dtype=bool)
-            if self._uniform
-            else np.arange(width)[None, :] < np.array(widths)[:, None]
-        )
+        width_mask = np.arange(width)[None, :] < np.array(widths)[:, None]
         self._l0_branch_row = np.where(
             width_mask, BRANCH_CODES["layer0"], BRANCH_CODES["none"]
         ).astype(np.int8)
 
-        # Width-aware compaction bookkeeping: lane_needed[s, v] is True
-        # while trial s can still use lane v.  Statically that is the
-        # trial's width mask; campaign epoch entries clear lanes whose
-        # vertex is absent for the whole remaining horizon (see
-        # _enter_stack_epochs).  Uniform stacks have no width padding, so
-        # the lane pass is skipped there outright.
+        # Width compaction bookkeeping: lane_needed[s, v] is True while
+        # trial s can still use lane v.  Statically that is the trial's
+        # width mask; campaign epoch entries clear lanes whose vertex is
+        # absent for the whole remaining horizon (see _enter_stack_epochs).
+        # Uniform stacks have no width padding, so the lane pass is
+        # skipped there outright.
         self._widths = widths
-        self._lane_needed = width_mask.copy()
-        compact_w = self.compact_width and active is not None
+        self._lane_needed = None if uniform else width_mask
 
-        # Depth-aware compaction bookkeeping (see the module docstring):
-        # at layer ``l`` only trials with ``depth > l`` that have not gone
-        # dead this iteration keep a row in the working plane.  ``dead``
-        # can only ever trigger with faults -- a fault-free trial's layers
-        # always pulse -- so the all-NaN probe is skipped entirely on
-        # fault-free stacks.
-        compact = self.compact_depth
+        # Depth compaction bookkeeping (see the module docstring): at
+        # layer ``l`` only trials with ``depth > l`` that have not gone
+        # dead this iteration keep a row in the working plane.  The
+        # depth-driven row sets are static, so they are computed once;
+        # ``dead`` can only ever trigger with faults -- a fault-free
+        # trial's layers always pulse -- so the all-NaN probe is skipped
+        # entirely on fault-free stacks.
         depths_arr = np.array(depths)
+        depth_masks = [depths_arr > layer for layer in range(num_layers)]
+        depth_rows = [
+            None if mask.all() else np.flatnonzero(mask)
+            for mask in depth_masks
+        ]
         any_fault = bool(faulty.any())
         dead = np.zeros(num_trials, dtype=bool)
-        self._row_cache: Dict[bytes, Dict[str, object]] = {}
+        self._row_cache: Dict[object, Dict[str, object]] = {}
+        self._lane_cache: Dict[bytes, Optional[np.ndarray]] = {}
+        self._input_cache: Dict[Tuple, Tuple] = {}
         padded_row_steps = num_pulses * max(num_layers - 1, 0) * num_trials
         active_row_steps = 0
         # Lane-step (cell) accounting: padded cost is every row step times
@@ -719,32 +772,42 @@ class TrialStack:
         # state reuses its gather tensors).  Seed graph/plan are restored
         # after the run even on error.
         epoch_cursor = [-1] * num_trials
-        sweep_caches: List[Dict[Tuple, _VectorSweep]] = [{} for _ in sims]
+        sweep_caches: List[Dict[Tuple, _TrialSweep]] = [{} for _ in sims]
         seed_states = [
             (sim.graph, sim.fault_plan, sim._layer0_has_fault) for sim in sims
         ]
 
         try:
             for k in range(num_pulses):
-                if has_campaign and self._enter_stack_epochs(
-                    k, schedules, epoch_cursor, sweep_caches, sweeps,
-                    nb_idx, nb_valid, static_eligible, faulty,
-                ):
+                changed: Set[int] = set()
+                if has_campaign:
+                    changed = self._enter_stack_epochs(
+                        k, schedules, epoch_cursor, sweep_caches, sweeps
+                    )
+                if changed:
                     # Rows of the stacked tensors changed in place: refresh
-                    # every structure derived from them.  The stack-level
-                    # delay cache and the compacted row gathers hold stale
-                    # copies; the rate caches survive (rates are keyed by
-                    # node id and the vertex set never changes).
+                    # every structure derived from them.
                     layer_has_fault = faulty.any(axis=(0, 2))
                     any_fault = bool(faulty.any())
-                    dead[:] = False
-                    delay_cache.clear()
                     self._row_cache = {}
+                    self._lane_cache = {}
                     self._l0_fault_trials = [
                         s
                         for s in range(num_trials)
                         if bool(self._l0_faulty[s].any())
                     ]
+                refill = False
+                for s, sweep in enumerate(sweeps):
+                    if k == 0 or delays_vary[s] or s in changed:
+                        self._fill_delays(s, sweep.delay_block(k))
+                        refill = True
+                    if k == 0 or rates_vary[s]:
+                        self._rate[s, : depths[s], : widths[s]] = (
+                            sweep.rate_block(k)
+                        )
+                        refill = True
+                if refill:
+                    self._input_cache = {}
                 rk = k if store_times else 0
                 if not store_times and k > 0:
                     # Recycle the rolling one-pulse window for this iteration.
@@ -760,58 +823,42 @@ class TrialStack:
                     stream.update(
                         k, 0, times[:, rk, 0, :], corrections[:, rk, 0, :]
                     )
-                if compact and any_fault:
+                if any_fault:
                     dead[:] = False
                 for layer in range(1, num_layers):
-                    rows: Optional[np.ndarray] = None
-                    lanes: Optional[np.ndarray] = None
-                    skipped = False
-                    if compact:
-                        mask = depths_arr > layer
-                        if any_fault:
-                            # A trial goes dead for the rest of this iteration
-                            # when *no* node of its previous layer produced a
-                            # pulse (protocol row all-NaN): correct nodes sent
-                            # nothing and faulty nodes recorded no sends, so
-                            # no message can reach this or any deeper layer.
-                            candidates = np.flatnonzero(mask & ~dead)
-                            if candidates.size:
-                                silent = np.isnan(
-                                    protocol_times[candidates, rk, layer - 1, :]
-                                ).all(axis=1)
-                                if silent.any():
-                                    dead[candidates[silent]] = True
-                            mask &= ~dead
-                        if not mask.all():
-                            if not mask.any():
-                                skipped = True
-                            else:
-                                rows = np.flatnonzero(mask)
-                    if not skipped and compact_w:
-                        # Union of lanes still needed by the active rows:
-                        # drop the columns nobody will read or write.
-                        need = (
-                            self._lane_needed
-                            if rows is None
-                            else self._lane_needed[rows]
-                        )
-                        used = need.any(axis=0)
-                        if not used.all():
-                            if not used.any():
-                                skipped = True
-                            else:
-                                lanes = np.flatnonzero(used)
-                                if rows is None:
-                                    rows = np.arange(
-                                        num_trials, dtype=np.int64
-                                    )
+                    rows = depth_rows[layer]
+                    if any_fault:
+                        # A trial goes dead for the rest of this iteration
+                        # when *no* node of its previous layer produced a
+                        # pulse (protocol row all-NaN): correct nodes sent
+                        # nothing and faulty nodes recorded no sends, so no
+                        # message can reach this or any deeper layer.
+                        live = depth_masks[layer] & ~dead
+                        candidates = np.flatnonzero(live)
+                        if candidates.size:
+                            silent = np.isnan(
+                                protocol_times[candidates, rk, layer - 1, :]
+                            ).all(axis=1)
+                            if silent.any():
+                                dead[candidates[silent]] = True
+                                live &= ~dead
+                        if not live.all():
+                            rows = np.flatnonzero(live)
+                    lanes = None
+                    if self._lane_needed is not None and (
+                        rows is None or rows.size
+                    ):
+                        lanes = self._active_lanes(rows)
+                        if lanes is not None and rows is None:
+                            rows = np.arange(num_trials, dtype=np.int64)
+                    skipped = (rows is not None and not rows.size) or (
+                        lanes is not None and not lanes.size
+                    )
                     if not skipped:
-                        row_count = (
-                            num_trials if rows is None else int(rows.size)
-                        )
+                        row_count = num_trials if rows is None else rows.size
                         active_row_steps += row_count
                         active_lane_steps += row_count * (
-                            width if lanes is None else int(lanes.size)
+                            width if lanes is None else lanes.size
                         )
                         self._run_layer_stacked(
                             results,
@@ -820,18 +867,7 @@ class TrialStack:
                             corrections,
                             effective,
                             branches,
-                            nb_idx,
-                            nb_valid,
-                            static_eligible,
-                            faulty,
-                            active,
                             bool(layer_has_fault[layer]),
-                            self._delay_stack(
-                                sweeps, delay_cache, layer, k, rows, lanes
-                            ),
-                            self._rate_stack(
-                                sweeps, rate_cache, layer, k, rows, lanes
-                            ),
                             k,
                             layer,
                             rows,
@@ -859,30 +895,24 @@ class TrialStack:
                 results[s].churn_stats = schedule.summary()
 
         self.compaction_stats = {
-            "enabled": compact,
             "trials": num_trials,
             "num_layers": num_layers,
             "min_depth": int(min(depths)),
             "max_depth": int(max(depths)),
             "padded_row_steps": padded_row_steps,
-            "active_row_steps": active_row_steps,
+            "active_row_steps": int(active_row_steps),
             "dropped_fraction": (
                 1.0 - active_row_steps / padded_row_steps
                 if padded_row_steps
                 else 0.0
             ),
-            # Which axes this run compacted along -- process-shard merges
-            # of BatchResult.compaction_stats stay unambiguous about what
-            # each dict's numbers mean.
-            "axes": [
-                axis
-                for axis, on in (("depth", compact), ("width", compact_w))
-                if on
-            ],
+            # Which axes this run compacted along: depth always, width on
+            # padded stacks (uniform stacks have no width padding).
+            "axes": ["depth"] if uniform else ["depth", "width"],
             "min_width": int(min(widths)),
             "max_width": int(max(widths)),
             "padded_lane_steps": padded_lane_steps,
-            "active_lane_steps": active_lane_steps,
+            "active_lane_steps": int(active_lane_steps),
             "lane_dropped_fraction": (
                 1.0 - active_lane_steps / padded_lane_steps
                 if padded_lane_steps
@@ -897,6 +927,10 @@ class TrialStack:
             "fallback_cells": sum(r.fallback_cells for r in results),
             "fallback_batches": sum(r.fallback_batches for r in results),
         }
+        # The per-run planes and caches are dead weight between runs.
+        self._own_delay = self._nb_delay = self._rate = None
+        self._structs = None
+        self._row_cache, self._lane_cache, self._input_cache = {}, {}, {}
 
         if stream is not None:
             stream.finalize()
@@ -914,38 +948,51 @@ class TrialStack:
                 result.effective_corrections = None
                 result.branches = None
             self._l0_row_buffer = None
+            self._block = None
             return results
-
-        # Freeze the shared block and hand it to every result: stacked
-        # results are immutable snapshots (a write through any window
-        # would silently corrupt its siblings and any adopting
-        # BatchResult), and the attached block is what lets a single-stack
-        # BatchResult skip re-materializing (S, K, L_max, W_max) copies.
-        block = _StackBlock(times, corrections, effective, faulty)
-        for array in (times, protocol_times, corrections, effective,
-                      branches, faulty):
-            array.flags.writeable = False
-        for s, result in enumerate(results):
-            for attr in ("times", "protocol_times", "corrections",
-                         "effective_corrections", "branches"):
-                getattr(result, attr).flags.writeable = False
-            result.stack_block = block
-            result.stack_row = s
+        self._block = (
+            times, protocol_times, corrections, effective, branches, faulty
+        )
         return results
+
+    def _fill_delays(
+        self, s: int, block: Tuple[np.ndarray, np.ndarray]
+    ) -> None:
+        """Write trial ``s``'s delay block into the stacked planes."""
+        own, nb = block
+        depth, width = own.shape
+        self._own_delay[s, :depth, :width] = own
+        if self._csr is not None:
+            self._nb_delay[s] = nb
+        else:
+            # An epoch graph's max degree can shrink: clear stale lanes.
+            self._nb_delay[s] = 0.0
+            self._nb_delay[s, :depth, :width, : nb.shape[-1]] = nb
+
+    def _active_lanes(self, rows: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        """Lanes some active row still needs; None when that is every lane.
+
+        Cached per row set (lane needs change only at campaign epoch
+        boundaries, which clear the cache).
+        """
+        key = b"" if rows is None else rows.tobytes()
+        if key in self._lane_cache:
+            return self._lane_cache[key]
+        need = self._lane_needed if rows is None else self._lane_needed[rows]
+        used = need.any(axis=0)
+        lanes = None if used.all() else np.flatnonzero(used)
+        self._lane_cache[key] = lanes
+        return lanes
 
     def _enter_stack_epochs(
         self,
         k: int,
         schedules: Sequence[Optional[object]],
         epoch_cursor: List[int],
-        sweep_caches: List[Dict[Tuple, _VectorSweep]],
-        sweeps: List[_VectorSweep],
-        nb_idx: np.ndarray,
-        nb_valid: np.ndarray,
-        static_eligible: np.ndarray,
-        faulty: np.ndarray,
-    ) -> bool:
-        """Advance campaign trials into pulse ``k``'s epoch; True if any moved.
+        sweep_caches: List[Dict[Tuple, _TrialSweep]],
+        sweeps: List[_TrialSweep],
+    ) -> Set[int]:
+        """Advance campaign trials into pulse ``k``'s epoch; the moved trials.
 
         For each trial whose compiled schedule crosses an epoch boundary at
         ``k``, swaps the simulation's graph/plan
@@ -956,9 +1003,11 @@ class TrialStack:
         graph's max degree can shrink.  Unchanged trials (and unchanged
         pulses) cost one integer comparison each, which is what makes
         quiet epochs free.  The caller refreshes the derived aggregates
-        (``layer_has_fault``, the delay/row caches) when this returns True.
+        (``layer_has_fault``, the delay rows, the row caches) for the
+        returned trials.
         """
-        changed = False
+        nb_idx, nb_valid, static_eligible, faulty, _ = self._structs
+        changed: Set[int] = set()
         for s, schedule in enumerate(schedules):
             if schedule is None:
                 continue
@@ -974,7 +1023,7 @@ class TrialStack:
                 # Campaign stacks are padded (never uniform), so epoch
                 # sweeps must carry the dense gather tables the stacked
                 # 3-D tensors are rebuilt from.
-                sweep = _VectorSweep(sim, backend="dense")
+                sweep = _TrialSweep(sim, "dense")
                 sweep_caches[s][epoch.state_key] = sweep
             sweeps[s] = sweep
             # A vertex absent from this epoch through the end of the
@@ -998,7 +1047,7 @@ class TrialStack:
             static_eligible[s, : depth - 1, :w] = sweep.static_eligible
             faulty[s] = False
             faulty[s, :depth, :w] = sweep.faulty
-            changed = True
+            changed.add(s)
         return changed
 
     def _run_layer0_stacked(
@@ -1032,7 +1081,10 @@ class TrialStack:
             )
         protocol_times[:, rk, 0, :] = row
         branches[:, rk, 0, :] = self._l0_branch_row
-        times[:, rk, 0, :] = np.where(self._l0_faulty, np.nan, row)
+        if self._l0_fault_trials:
+            times[:, rk, 0, :] = np.where(self._l0_faulty, np.nan, row)
+        else:
+            times[:, rk, 0, :] = row
         for s in self._l0_fault_trials:
             for v in np.nonzero(self._l0_faulty[s])[0]:
                 self.sims[s]._record_fault_sends(
@@ -1040,80 +1092,98 @@ class TrialStack:
                 )
 
     def _row_structs(
-        self,
-        rows: np.ndarray,
-        nb_idx: Optional[np.ndarray],
-        nb_valid: Optional[np.ndarray],
-        static_eligible: np.ndarray,
-        faulty: np.ndarray,
-        active: Optional[np.ndarray],
-        lanes: Optional[np.ndarray] = None,
+        self, rows: Optional[np.ndarray], lanes: Optional[np.ndarray]
     ) -> Dict[str, object]:
-        """Compacted per-row/lane-set kernel inputs, cached by both sets.
+        """Kernel gather/eligibility inputs of one row/lane set (cached).
 
-        Depth-driven active sets are nested (they only shrink as the
-        layer index grows), so at most one entry per distinct depth is
-        ever built; dead-trial sets add at most a handful more, and lane
-        sets one entry per distinct (row set, lane set) pair.  Shared
-        2-D gather tables (uniform stacks) are row-independent and pass
-        through untouched; CSR stacks carry no padded tables at all
-        (``nb_idx``/``nb_valid`` are None and the kernel reads the
-        stack's shared CSR arrays).  With ``lanes``, the padded tables
-        are additionally re-indexed into the compact column space:
-        ``lane_pos`` maps original vertex ids to compacted columns, and
-        entries pointing at dropped lanes (only ever behind an invalid
-        mask -- no valid entry of an active trial references a dropped
-        lane) collapse to column 0 harmlessly.
+        ``rows=None`` is the whole stack.  Depth-driven active sets are
+        nested (they only shrink as the layer index grows), so at most
+        one entry per distinct depth is ever built; dead-trial sets add
+        at most a handful more, and lane sets one entry per distinct
+        (row set, lane set) pair.  Shared 2-D gather tables (uniform
+        stacks) are row-independent and pass through untouched; CSR
+        stacks carry no padded tables at all (``nb_idx``/``nb_valid``
+        are None and the kernel reads the stack's shared CSR arrays).
+        With ``lanes``, the padded tables are additionally re-indexed
+        into the compact column space: ``lane_pos`` maps original vertex
+        ids to compacted columns, and entries pointing at dropped lanes
+        (only ever behind an invalid mask -- no valid entry of an active
+        trial references a dropped lane) collapse to column 0 harmlessly.
         """
         key = (
-            rows.tobytes()
-            if lanes is None
-            else rows.tobytes() + b"|" + lanes.tobytes()
+            None
+            if rows is None
+            else (rows.tobytes(), None if lanes is None else lanes.tobytes())
         )
         cached = self._row_cache.get(key)
-        if cached is None:
-            if nb_idx is None:
-                sub_idx = None
-                sub_valid = None
-            elif nb_idx.ndim == 3:
-                sub_idx = nb_idx[rows]
-                sub_valid = nb_valid[rows]
-            else:
-                sub_idx = nb_idx
-                sub_valid = nb_valid
-            sub_eligible = static_eligible[rows]
-            sub_faulty = faulty[rows]
-            sub_active = None if active is None else active[rows]
-            if lanes is not None:
-                lane_pos = np.zeros(self._width, dtype=np.int64)
-                lane_pos[lanes] = np.arange(lanes.size, dtype=np.int64)
-                sub_idx = lane_pos[sub_idx[:, lanes, :]]
-                sub_valid = sub_valid[:, lanes, :]
-                sub_eligible = sub_eligible[:, :, lanes]
-                sub_faulty = sub_faulty[:, :, lanes]
-                sub_active = sub_active[:, :, lanes]
-            cached = {
-                "nb_idx": sub_idx,
-                "nb_valid": sub_valid,
-                "static_eligible": sub_eligible,
-                "faulty": sub_faulty,
-                "active": sub_active,
-                "lanes": lanes,
-                "params": (
-                    self._params.take(rows)
-                    if isinstance(self._params, _StackedParams)
-                    else self._params
-                ),
-                "policy": (
-                    self._policy.take(rows)
-                    if isinstance(self._policy, _StackedPolicy)
-                    else self._policy
-                ),
-            }
-            self._row_cache[key] = cached
+        if cached is not None:
+            return cached
+        nb_idx, nb_valid, static_eligible, faulty, active = self._structs
+        params, policy = self._params, self._policy
+        if rows is not None:
+            if nb_idx is not None and nb_idx.ndim == 3:
+                nb_idx = nb_idx[rows]
+                nb_valid = nb_valid[rows]
+            static_eligible = static_eligible[rows]
+            faulty = faulty[rows]
+            active = None if active is None else active[rows]
+            if isinstance(params, _StackedParams):
+                params = params.take(rows)
+            if isinstance(policy, _StackedPolicy):
+                policy = policy.take(rows)
+        if lanes is not None:
+            lane_pos = np.zeros(self._width, dtype=np.int64)
+            lane_pos[lanes] = np.arange(lanes.size, dtype=np.int64)
+            nb_idx = lane_pos[nb_idx[:, lanes, :]]
+            nb_valid = nb_valid[:, lanes, :]
+            static_eligible = static_eligible[:, :, lanes]
+            faulty = faulty[:, :, lanes]
+            active = active[:, :, lanes]
+        cached = {
+            "nb_idx": nb_idx,
+            "nb_valid": nb_valid,
+            "static_eligible": static_eligible,
+            "faulty": faulty,
+            "active": active,
+            "params": params,
+            "policy": policy,
+        }
+        self._row_cache[key] = cached
         return cached
 
-    def _run_layer_compacted(
+    def _step_inputs(
+        self,
+        layer: int,
+        rows: Optional[np.ndarray],
+        lanes: Optional[np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Own delays, neighbor delays, and rates of one layer step.
+
+        Whole-stack steps read views of the stacked planes; compacted
+        steps gather the active rows (and lanes), cached until the planes
+        are next refilled.
+        """
+        if rows is None:
+            return (
+                self._own_delay[:, layer],
+                self._nb_delay[:, layer],
+                self._rate[:, layer],
+            )
+        key = (layer, rows.tobytes(), None if lanes is None else lanes.tobytes())
+        cached = self._input_cache.get(key)
+        if cached is None:
+            own = self._own_delay[rows, layer]
+            nb = self._nb_delay[rows, layer]
+            rate = self._rate[rows, layer]
+            if lanes is not None:
+                own = own[:, lanes]
+                nb = nb[:, lanes]
+                rate = rate[:, lanes]
+            cached = (own, nb, rate)
+            self._input_cache[key] = cached
+        return cached
+
+    def _run_layer_stacked(
         self,
         results: List[FastResult],
         times: np.ndarray,
@@ -1121,42 +1191,36 @@ class TrialStack:
         corrections: np.ndarray,
         effective: np.ndarray,
         branches_out: np.ndarray,
-        structs: Dict[str, object],
-        delays: Tuple[np.ndarray, np.ndarray],
-        rate: np.ndarray,
+        layer_faulty: bool,
         k: int,
         layer: int,
-        rows: np.ndarray,
+        rows: Optional[np.ndarray],
         rk: int,
+        lanes: Optional[np.ndarray],
     ) -> None:
-        """Pulse ``k`` of ``layer`` on the compacted ``(S_active, W)`` plane.
+        """Advance pulse ``k`` of ``layer`` for the active plane at once.
 
-        The same kernel expressions as the uncompacted path, evaluated on
-        the active rows only and scattered back through ``rows``.  Cells
-        the uncompacted path would have left at their initial padding
-        values (``NaN``/``"none"``) are re-written with exactly those
-        values by the masked scatter, so the output is bit-identical; the
-        dropped rows are untouched and keep their initial padding, which
-        is also what the uncompacted path produces for them (inert or
-        silent rows are never eligible and their scalar replays record
-        nothing).  With a lane set (``structs["lanes"]``) the plane
-        shrinks along the width axis as well, to ``(A, C)``: results
-        scatter back through the ``rows x lanes`` cross product, and the
-        dropped lanes keep their initial padding -- which is exact for
-        the same reason dropped rows are, because a lane is only dropped
-        when no surviving row still needs it (its cells are width
-        padding, or belong to horizon-absent vertices whose scalar
-        replay writes exactly the padding values and records nothing).
-        ``rk`` is the block's storage row for pulse ``k``.
+        Evaluates the shape-generic
+        :func:`~repro.core.fast._layer_step_kernel` (or its CSR twin on
+        ``csr``-backend stacks) on the ``(S, W)`` plane -- or, with
+        ``rows`` (and ``lanes``), on the compacted ``(S_active, C)``
+        plane -- and scatters the eligible cells back; see the module
+        docstring for the exactness argument.  Padding (``active`` is
+        None on uniform stacks) is never eligible, never written, and
+        never replayed by the scalar fallback.  ``rk`` is the storage row
+        of pulse ``k`` in the shared block (``k`` itself on materialized
+        runs, 0 on the rolling window).
         """
         sims = self.sims
-        lanes = structs["lanes"]
-        if lanes is None:
-            prev = times[rows, rk, layer - 1, :]  # (A, W), NaN = missing
+        structs = self._row_structs(rows, lanes)
+        if rows is None:
+            ri, ci = slice(None), slice(None)
+        elif lanes is None:
+            ri, ci = rows, slice(None)
         else:
-            prev = times[rows[:, None], rk, layer - 1, lanes[None, :]]
-        own_delay, nb_delay = delays
-
+            ri, ci = rows[:, None], lanes[None, :]
+        prev = times[ri, rk, layer - 1, ci]  # send times, NaN = missing
+        own_delay, nb_delay, rate = self._step_inputs(layer, rows, lanes)
         simplified = sims[0].algorithm == "simplified"
         if self._csr is not None:
             indptr, indices, owner, has_neighbors = self._csr
@@ -1194,11 +1258,22 @@ class TrialStack:
                 )
             )
 
-        faulty_here = structs["faulty"][:, layer, :]
-        if lanes is None:
-            ri, ci = rows, slice(None)
-        else:
-            ri, ci = rows[:, None], lanes[None, :]
+        active = structs["active"]
+        fallback = (
+            ~eligible if active is None else active[:, layer, :] & ~eligible
+        )
+        any_fallback = fallback.any()
+        if active is None and not layer_faulty and not any_fallback:
+            # Common case (uniform stack, no fault on this layer, every
+            # cell on the fast path): plain assignments, no masking.
+            corrections[ri, rk, layer, ci] = correction
+            branches_out[ri, rk, layer, ci] = branches
+            effective[ri, rk, layer, ci] = eff
+            protocol_times[ri, rk, layer, ci] = pulse_time
+            times[ri, rk, layer, ci] = pulse_time
+            return
+        # Ineligible cells get their initial padding values (NaN/"none");
+        # the batched fallback below overwrites the real ones.
         corrections[ri, rk, layer, ci] = np.where(eligible, correction, np.nan)
         branches_out[ri, rk, layer, ci] = np.where(
             eligible, branches, BRANCH_CODES["none"]
@@ -1207,181 +1282,26 @@ class TrialStack:
         protocol_times[ri, rk, layer, ci] = np.where(
             eligible, pulse_time, np.nan
         )
-        times[ri, rk, layer, ci] = np.where(
-            eligible & ~faulty_here, pulse_time, np.nan
-        )
-        if faulty_here.any():
+        if not layer_faulty:
+            times[ri, rk, layer, ci] = np.where(eligible, pulse_time, np.nan)
+        else:
+            faulty_here = structs["faulty"][:, layer, :]
+            times[ri, rk, layer, ci] = np.where(
+                eligible & ~faulty_here, pulse_time, np.nan
+            )
             for si, vi in zip(*np.nonzero(eligible & faulty_here)):
-                s = int(rows[si])
+                s = int(si) if rows is None else int(rows[si])
                 v = int(vi) if lanes is None else int(lanes[vi])
                 sims[s]._record_fault_sends(
                     results[s], (v, layer), k, float(pulse_time[si, vi])
                 )
-        active = structs["active"]
-        fallback = (
-            ~eligible if active is None else active[:, layer, :] & ~eligible
-        )
-        if fallback.any():
+        if any_fallback:
             # One batched resolver call per trial row with rejected
             # cells (vertex ids mapped back through the lane set).
             for si in np.nonzero(fallback.any(axis=1))[0]:
-                s = int(rows[si])
+                s = int(si) if rows is None else int(rows[si])
                 vi = np.nonzero(fallback[si])[0]
                 sims[s]._run_fallback_batch(
                     results[s], k, layer,
                     vi if lanes is None else lanes[vi], rk,
-                )
-
-    def _run_layer_stacked(
-        self,
-        results: List[FastResult],
-        times: np.ndarray,
-        protocol_times: np.ndarray,
-        corrections: np.ndarray,
-        effective: np.ndarray,
-        branches_out: np.ndarray,
-        nb_idx: np.ndarray,
-        nb_valid: np.ndarray,
-        static_eligible: np.ndarray,
-        faulty: np.ndarray,
-        active: Optional[np.ndarray],
-        layer_faulty: bool,
-        delays: Tuple[np.ndarray, np.ndarray],
-        rate: np.ndarray,
-        k: int,
-        layer: int,
-        rows: Optional[np.ndarray] = None,
-        rk: Optional[int] = None,
-        lanes: Optional[np.ndarray] = None,
-    ) -> None:
-        """Advance pulse ``k`` of ``layer`` for all ``S x W`` cells at once.
-
-        Mirrors :meth:`FastSimulation._run_layer_vectorized` with a leading
-        trial axis -- both delegate to the shape-generic
-        :func:`~repro.core.fast._layer_step_kernel` (or its CSR twin on
-        ``csr``-backend stacks); see the module docstring for the
-        exactness argument.  ``active`` (None on uniform stacks) masks
-        the padding: inert cells are never eligible, never written, and
-        never replayed by the scalar fallback.  ``rows``
-        (depth compaction) routes the step through the gathered
-        ``(S_active, W)`` plane of :meth:`_run_layer_compacted`, and
-        ``lanes`` (width compaction, always with ``rows``) narrows that
-        plane to ``(S_active, C)``; the ``delays``/``rate`` arrays are
-        then already row- and lane-compacted.  ``rk`` is the storage row
-        of pulse ``k`` in the shared block (``k`` itself on materialized
-        runs, 0 on the rolling window).
-        """
-        if rk is None:
-            rk = k
-        if rows is not None:
-            self._run_layer_compacted(
-                results,
-                times,
-                protocol_times,
-                corrections,
-                effective,
-                branches_out,
-                self._row_structs(
-                    rows,
-                    nb_idx,
-                    nb_valid,
-                    static_eligible,
-                    faulty,
-                    active,
-                    lanes,
-                ),
-                delays,
-                rate,
-                k,
-                layer,
-                rows,
-                rk,
-            )
-            return
-        sims = self.sims
-        prev = times[:, rk, layer - 1, :]  # (S, W) send times, NaN = missing
-        own_delay, nb_delay = delays
-
-        if self._csr is not None:
-            indptr, indices, owner, has_neighbors = self._csr
-            eligible, correction, branches, pulse_time, eff = (
-                _layer_step_kernel_csr(
-                    prev,
-                    own_delay,
-                    nb_delay,
-                    rate,
-                    indptr,
-                    indices,
-                    owner,
-                    has_neighbors,
-                    static_eligible[:, layer - 1, :],
-                    self._params,
-                    self._policy,
-                    sims[0].algorithm == "simplified",
-                    ops=self._kernel_ops,
-                )
-            )
-        else:
-            eligible, correction, branches, pulse_time, eff = (
-                _layer_step_kernel(
-                    prev,
-                    own_delay,
-                    nb_delay,
-                    rate,
-                    nb_idx,
-                    nb_valid,
-                    static_eligible[:, layer - 1, :],
-                    self._params,
-                    self._policy,
-                    sims[0].algorithm == "simplified",
-                    ops=self._kernel_ops,
-                )
-            )
-
-        if active is None:
-            fallback = ~eligible
-            if not layer_faulty and eligible.all():
-                # Common case (uniform stack, no trial has a fault on this
-                # layer, every cell on the fast path): whole-plane
-                # assignments, no boolean gathers.
-                corrections[:, rk, layer] = correction
-                branches_out[:, rk, layer] = branches
-                effective[:, rk, layer] = eff
-                protocol_times[:, rk, layer] = pulse_time
-                times[:, rk, layer] = pulse_time
-                return
-        else:
-            fallback = active[:, layer, :] & ~eligible
-            if not layer_faulty and not fallback.any():
-                # Padded analogue of the fast path: every *real* cell is
-                # eligible, so one masked whole-plane select per matrix
-                # (inert cells keep their NaN/"none" padding).
-                corrections[:, rk, layer] = np.where(eligible, correction, np.nan)
-                branches_out[:, rk, layer] = np.where(
-                    eligible, branches, BRANCH_CODES["none"]
-                )
-                effective[:, rk, layer] = np.where(eligible, eff, np.nan)
-                protocol_times[:, rk, layer] = np.where(
-                    eligible, pulse_time, np.nan
-                )
-                times[:, rk, layer] = np.where(eligible, pulse_time, np.nan)
-                return
-
-        corrections[:, rk, layer][eligible] = correction[eligible]
-        branches_out[:, rk, layer][eligible] = branches[eligible]
-        effective[:, rk, layer][eligible] = eff[eligible]
-        protocol_times[:, rk, layer][eligible] = pulse_time[eligible]
-        faulty_here = faulty[:, layer, :]
-        correct = eligible & ~faulty_here
-        times[:, rk, layer][correct] = pulse_time[correct]
-        if layer_faulty:
-            for s, v in zip(*np.nonzero(eligible & faulty_here)):
-                sims[s]._record_fault_sends(
-                    results[s], (int(v), layer), k, float(pulse_time[s, v])
-                )
-        if fallback.any():
-            for s in np.nonzero(fallback.any(axis=1))[0]:
-                s = int(s)
-                sims[s]._run_fallback_batch(
-                    results[s], k, layer, np.nonzero(fallback[s])[0], rk
                 )

@@ -54,14 +54,20 @@ class DelayModel(ABC):
 
     Because models are deterministic functions of their seed and the edge
     identity (and the pulse, unless ``pulse_invariant``), the vectorized
-    kernels cache the per-layer delay *arrays* they gather on the model
-    itself (``_edge_array_cache``), keyed by the querying graph's edge
+    kernel caches the delay *blocks* it gathers on the model itself
+    (``_edge_array_cache``), keyed by the querying graph's edge
     structure -- so repeated runs and freshly constructed simulations over
     the same model skip the per-edge Python loop.  Replace the model
     rather than mutating its state to get different delays.
+
+    Memo caches (:attr:`_memo_attrs`) are left out of the pickled state
+    and come back empty, so a model pickles to the same bytes before and
+    after it has been run -- the service's grid key depends on that.
     """
 
     pulse_invariant = False
+    #: Attributes that only memoize values derivable from the parameters.
+    _memo_attrs: Tuple[str, ...] = ("_edge_array_cache",)
 
     def __init__(self, d: float, u: float) -> None:
         if d <= 0:
@@ -70,9 +76,20 @@ class DelayModel(ABC):
             raise ValueError(f"u must lie in [0, d], got {u}")
         self.d = d
         self.u = u
-        #: per-edge-structure cache of gathered delay arrays; see class
-        #: docstring and :meth:`repro.core.fast._VectorSweep.delay_arrays`.
+        #: per-edge-structure cache of gathered delay blocks; see class
+        #: docstring and :mod:`repro.core.fast_batch`.
         self._edge_array_cache: Dict[object, Dict] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self._memo_attrs:
+            state.pop(name, None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        for name in self._memo_attrs:
+            setattr(self, name, {})
 
     @abstractmethod
     def delay(self, edge: Edge, pulse: int = 0) -> float:
@@ -107,6 +124,7 @@ class StaticDelayModel(DelayModel):
     """
 
     pulse_invariant = True
+    _memo_attrs = DelayModel._memo_attrs + ("_cache",)
 
     def __init__(self, d: float, u: float, seed: int = 0) -> None:
         super().__init__(d, u)
@@ -153,6 +171,8 @@ class VaryingDelayModel(DelayModel):
     ``[d - u, d]``.  The walk for each edge is generated lazily but
     deterministically from ``seed`` and the edge identity.
     """
+
+    _memo_attrs = DelayModel._memo_attrs + ("_walks", "_rngs")
 
     def __init__(
         self, d: float, u: float, max_step: float, seed: int = 0

@@ -12,13 +12,12 @@ module sweeps many trials in one call instead:
   (padded to ``(S, W_max)`` with inert cells; see the ``fast_batch``
   module docstring): grouping is by algorithm variant and the structural
   policy switches only, so a mixed-width diameter sweep runs as one
-  stack.  ``stack_mixed_geometry=False`` opts out, restoring the old
-  structurally-identical grouping,
-* trials the stack cannot take (``vectorize=False``, ``stack=False``, or
-  a residual incompatibility) fall back to the per-trial vectorized
-  kernel of :class:`~repro.core.fast.FastSimulation`, with the reason
-  recorded per trial in :attr:`BatchResult.fallback_reasons` (no more
-  silent slow paths), and
+  stack,
+* trials the stack cannot take (``vectorize=False``, or an explicit
+  ``neighbor_backend="csr"`` on a padded group) run per trial through
+  :meth:`FastSimulation.run <repro.core.fast.FastSimulation.run>`, with
+  the reason recorded per trial in :attr:`BatchResult.fallback_reasons`
+  (no silent slow paths), and
 * the per-trial results are stacked along a leading *trial axis* --
   ``times`` of shape ``(S, K, L_max, W_max)``, NaN-padded when grids
   differ -- so skew and correction statistics for the whole sweep reduce
@@ -233,12 +232,12 @@ class BatchResult:
         to "which trials stacked".
     fallback_reasons:
         ``{trial_index: reason}`` for every trial that did *not* run
-        stacked -- the runner records why (``stack=False``,
-        ``vectorize=False``, the :func:`stack_compatibility` verdict, or
-        an explicit ``neighbor_backend="csr"`` request that a padded
-        mixed-geometry group cannot honor stacked, in which case the
-        trial runs per-trial *with* CSR) instead of silently dropping to
-        the slow path.  Executor-level events land here too: when a
+        stacked -- the runner records why (``vectorize=False``, the
+        :func:`stack_compatibility` verdict, or an explicit
+        ``neighbor_backend="csr"`` request that a padded mixed-geometry
+        group cannot honor stacked, in which case the trial runs
+        per-trial *with* CSR) instead of silently dropping to the slow
+        path.  Executor-level events land here too: when a
         process shard's worker dies (``BrokenProcessPool``) and the
         shard is re-run in-parent, every trial of that shard carries the
         retry note, appended to any stacking reason it already had --
@@ -413,7 +412,7 @@ class BatchResult:
         if streamed is None or name not in streamed:
             raise ValueError(
                 f"streamed batch carries no {name!r} reducer; request it via "
-                "BatchRunner (sketch_rank / potential_levels) or re-run with "
+                "BatchRunner(potential_levels=...) or re-run with "
                 "store_times=True"
             )
         return streamed[name]
@@ -534,20 +533,6 @@ class BatchResult:
                 )
         return out
 
-    def sketches(self) -> List:
-        """The distinct :class:`IncrementalSketch` reducers, in trial order.
-
-        One entry per underlying stream (a stacked group shares one
-        sketch; per-trial runs carry one each).  Raises when the batch
-        was not run with ``sketch_rank``.
-        """
-        seen: List = []
-        for r in self.results:
-            sketch = self._streamed_reducer(r, "sketch")
-            if not any(sketch is other for other in seen):
-                seen.append(sketch)
-        return seen
-
     # ------------------------------------------------------------------
     # Correction statistics
     # ------------------------------------------------------------------
@@ -592,7 +577,7 @@ class BatchResult:
         return np.array([t.num_faults for t in self.trials], dtype=np.int64)
 
 
-def _stack_key(trial: BatchTrial, mixed_geometry: bool = True) -> Tuple:
+def _stack_key(trial: BatchTrial) -> Tuple:
     """Hashable grouping key for trials that can share a :class:`TrialStack`.
 
     Groups by the requirements of
@@ -600,24 +585,12 @@ def _stack_key(trial: BatchTrial, mixed_geometry: bool = True) -> Tuple:
     ``"full"`` and ``"simplified"`` stack, but not together) and the
     structural policy switches.  Geometry, parameters, and ``jump_slack``
     ride along through the padded kernel -- a thm11-style mixed-width
-    sweep is one group.  With ``mixed_geometry=False`` (the
-    :class:`BatchRunner` opt-out) the key reverts to the strict PR-2
-    grouping: identical parameters, policy, layer count, and base-graph
-    adjacency (the tuple the graph caches at construction).
+    sweep is one group.
     """
-    if mixed_geometry:
-        return (
-            trial.algorithm,
-            trial.policy.discretize,
-            trial.policy.stick_to_median,
-        )
-    graph = trial.config.graph
     return (
         trial.algorithm,
-        trial.config.params,
-        trial.policy,
-        graph.num_layers,
-        graph.base.adjacency,
+        trial.policy.discretize,
+        trial.policy.stick_to_median,
     )
 
 
@@ -643,14 +616,9 @@ def _run_shard(
     trials: List[BatchTrial],
     num_pulses: int,
     vectorize: bool,
-    stack: bool,
-    stack_mixed_geometry: bool,
-    compact_depth: bool,
-    compact_width: bool,
     neighbor_backend: str,
     kernel_backend: str,
     store_times: bool,
-    sketch_rank: Optional[int],
     potential_levels: Tuple[int, ...],
 ) -> Tuple[List[FastResult], List[List[int]], List[Dict], Dict[int, str]]:
     """Process-executor worker: run one contiguous shard serially.
@@ -665,14 +633,9 @@ def _run_shard(
     runner = BatchRunner(
         num_pulses=num_pulses,
         vectorize=vectorize,
-        stack=stack,
-        stack_mixed_geometry=stack_mixed_geometry,
-        compact_depth=compact_depth,
-        compact_width=compact_width,
         neighbor_backend=neighbor_backend,
         kernel_backend=kernel_backend,
         store_times=store_times,
-        sketch_rank=sketch_rank,
         potential_levels=potential_levels,
     )
     return runner._run_serial(trials)
@@ -702,36 +665,14 @@ class BatchRunner:
     num_pulses:
         Pulses simulated per trial.
     vectorize:
-        Forwarded to every :class:`FastSimulation`; ``False`` forces the
+        ``True`` (default) runs every stack group through the
+        trial-stacked ``(S, W)`` kernel
+        (:class:`~repro.core.fast_batch.TrialStack`), padding mixed
+        geometries and compacting finished rows and unused lanes;
+        per-group accounting lands in
+        :attr:`BatchResult.compaction_stats`.  ``False`` forces the
         scalar reference path everywhere (used by the equivalence tests
-        and the throughput benchmark) and disables trial stacking.
-    stack:
-        Run compatible trials through the trial-stacked ``(S, W)`` kernel
-        (:class:`~repro.core.fast_batch.TrialStack`); the default.
-        ``False`` keeps the per-trial loop of the vectorized kernel.
-    stack_mixed_geometry:
-        Let one stack take trials with *different* grids/parameters via
-        the padded ``(S, W_max)`` kernel (the default -- a mixed-width
-        diameter sweep runs as a single stack).  ``False`` opts out,
-        grouping only structurally identical trials (the pre-padding
-        behavior; with depth compaction on, the padded stack no longer
-        loses to this grouping on depth-skewed batches).
-    compact_depth:
-        Drop finished trials out of the stacked layer loop
-        (:class:`TrialStack` ``compact_depth``; the default) so
-        mixed-depth groups pay for the layers each trial actually runs.
-        Auto-degenerates to a no-op on uniform-depth fault-free groups;
-        ``False`` opts out (every row rides the full padded loop).
-        Results are bit-identical either way; per-group accounting lands
-        in :attr:`BatchResult.compaction_stats`.
-    compact_width:
-        Drop unused width lanes out of the stacked layer loop
-        (:class:`TrialStack` ``compact_width``; the default) so
-        mixed-width groups pay for the columns still in use -- width
-        padding of narrow trials, and lanes whose campaign vertex is
-        absent through the end of the horizon.  Bit-identical either
-        way; the lane accounting rides the same per-group
-        ``compaction_stats`` dicts.
+        and the throughput benchmark).
     neighbor_backend:
         Neighbor representation for the layer-step kernels: ``"auto"``
         (default; per stack group, CSR when the density heuristic says
@@ -762,10 +703,6 @@ class BatchRunner:
         a time, and the result never allocates the block -- memory drops
         from ``O(S * K * L * W)`` to ``O(S * L * W)``.  The streamed
         statistics are bit-identical to the materialized reducers.
-    sketch_rank:
-        Optional rank for an :class:`IncrementalSketch` reducer riding
-        the stream (``BatchResult.sketches()``); implies streaming
-        reducers even when ``store_times=True``.
     potential_levels:
         Potential levels ``s`` to fold online as ``PotentialStream``
         reducers (served by ``BatchResult.potentials(s)`` on streamed
@@ -776,16 +713,11 @@ class BatchRunner:
         self,
         num_pulses: int = 4,
         vectorize: bool = True,
-        stack: bool = True,
-        stack_mixed_geometry: bool = True,
-        compact_depth: bool = True,
-        compact_width: bool = True,
         neighbor_backend: str = "auto",
         kernel_backend: str = "auto",
         executor: str = "serial",
         shards: Optional[int] = None,
         store_times: bool = True,
-        sketch_rank: Optional[int] = None,
         potential_levels: Sequence[int] = (),
     ) -> None:
         if num_pulses < 1:
@@ -808,16 +740,11 @@ class BatchRunner:
             )
         self.num_pulses = num_pulses
         self.vectorize = vectorize
-        self.stack = stack
-        self.stack_mixed_geometry = stack_mixed_geometry
-        self.compact_depth = compact_depth
-        self.compact_width = compact_width
         self.neighbor_backend = neighbor_backend
         self.kernel_backend = kernel_backend
         self.executor = executor
         self.shards = shards
         self.store_times = store_times
-        self.sketch_rank = sketch_rank
         self.potential_levels = tuple(potential_levels)
 
     def _reducers(self):
@@ -826,16 +753,9 @@ class BatchRunner:
         Fresh each call because reducers bind to one stream layout; a
         stacked group and a fallback trial cannot share accumulators.
         """
-        if (
-            self.store_times
-            and self.sketch_rank is None
-            and not self.potential_levels
-        ):
+        if self.store_times and not self.potential_levels:
             return None
-        return default_reducers(
-            sketch_rank=self.sketch_rank,
-            potential_levels=self.potential_levels,
-        )
+        return default_reducers(potential_levels=self.potential_levels)
 
     def run(
         self,
@@ -898,12 +818,8 @@ class BatchRunner:
         a fallback reason, so "why didn't this stack?" is always on
         record.
         """
-        if not (self.stack and self.vectorize):
-            reason = (
-                "stacking disabled (stack=False)"
-                if self.stack is False
-                else "vectorize=False forces the per-trial scalar path"
-            )
+        if not self.vectorize:
+            reason = "vectorize=False forces the per-trial scalar path"
             results = [
                 trial.simulation(
                     vectorize=self.vectorize,
@@ -923,7 +839,7 @@ class BatchRunner:
         reasons: Dict[int, str] = {}
         groups: Dict[Tuple, List[int]] = {}
         for i, trial in enumerate(trials):
-            key = _stack_key(trial, mixed_geometry=self.stack_mixed_geometry)
+            key = _stack_key(trial)
             groups.setdefault(key, []).append(i)
         for indices in groups.values():
             sims = [
@@ -958,8 +874,6 @@ class BatchRunner:
             stack_groups.append(list(indices))
             stack = TrialStack(
                 sims,
-                compact_depth=self.compact_depth,
-                compact_width=self.compact_width,
                 neighbor_backend=self.neighbor_backend,
                 kernel_backend=self.kernel_backend,
             )
@@ -998,14 +912,9 @@ class BatchRunner:
         return (
             self.num_pulses,
             self.vectorize,
-            self.stack,
-            self.stack_mixed_geometry,
-            self.compact_depth,
-            self.compact_width,
             self.neighbor_backend,
             self.kernel_backend,
             self.store_times,
-            self.sketch_rank,
             self.potential_levels,
         )
 

@@ -77,6 +77,14 @@ class _DriftingRates:
         self._rates: Dict[NodeId, list] = {}
         self._rngs: Dict[NodeId, np.random.Generator] = {}
 
+    def __getstate__(self) -> dict:
+        # The walks are memoized from the seed: leave them out so the
+        # provider pickles (and grid-keys) the same before and after a run.
+        return {"vartheta": self.vartheta, "step": self.step, "seed": self.seed}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
+
     def __call__(self, node: NodeId, pulse: int) -> float:
         rates = self._rates.get(node)
         if rates is None:
@@ -154,15 +162,13 @@ def run_cor15(
     envelope_factor: float = 1.5,
     executor: str = "serial",
     shards: Optional[int] = None,
-    stack_mixed_geometry: bool = True,
-    compact_width: bool = True,
     neighbor_backend: str = "auto",
     kernel_backend: str = "auto",
     store_times: bool = False,
 ) -> Cor15Result:
     """Run with per-pulse delay/rate drift and a mutating fault.
 
-    ``executor``/``shards``/``stack_mixed_geometry`` are forwarded to
+    ``executor``/``shards`` are forwarded to
     :class:`BatchRunner` so multi-seed/multi-diameter variants of this
     study shard and stack like the other drivers (the default
     single-trial run gains nothing from either).  Only the folded
@@ -183,8 +189,6 @@ def run_cor15(
         num_pulses=num_pulses,
         executor=executor,
         shards=shards,
-        stack_mixed_geometry=stack_mixed_geometry,
-        compact_width=compact_width,
         neighbor_backend=neighbor_backend,
         kernel_backend=kernel_backend,
         store_times=store_times,

@@ -164,9 +164,6 @@ def run_table1(
     hex_crash: bool = True,
     executor: str = "serial",
     shards: Optional[int] = None,
-    stack_mixed_geometry: bool = True,
-    compact_depth: bool = True,
-    compact_width: bool = True,
     neighbor_backend: str = "auto",
     kernel_backend: str = "auto",
     store_times: bool = False,
@@ -181,9 +178,8 @@ def run_table1(
     batch through the padded mixed-geometry stack (delay models are
     per-trial inputs, so the two regimes share the stack; depth
     compaction retires each diameter's rows as its shallower grid
-    finishes).  ``executor``/``shards``/``stack_mixed_geometry``/
-    ``compact_depth`` are forwarded to :class:`BatchRunner` and the
-    baseline simulations stay serial.  The Gradient TRIX batch consumes
+    finishes).  ``executor``/``shards`` are forwarded to
+    :class:`BatchRunner` and the baseline simulations stay serial.  The Gradient TRIX batch consumes
     only folded skew maxima, so it streams by default
     (``store_times=False``, bit-identical); ``store_times=True``
     materializes the pulse-time block again.
@@ -200,9 +196,6 @@ def run_table1(
         num_pulses=num_pulses,
         executor=executor,
         shards=shards,
-        stack_mixed_geometry=stack_mixed_geometry,
-        compact_depth=compact_depth,
-        compact_width=compact_width,
         neighbor_backend=neighbor_backend,
         kernel_backend=kernel_backend,
         store_times=store_times,

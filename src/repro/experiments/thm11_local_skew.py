@@ -81,9 +81,6 @@ def run_thm11(
     num_pulses: int = 4,
     executor: str = "serial",
     shards: Optional[int] = None,
-    stack_mixed_geometry: bool = True,
-    compact_depth: bool = True,
-    compact_width: bool = True,
     neighbor_backend: str = "auto",
     kernel_backend: str = "auto",
     store_times: bool = False,
@@ -94,11 +91,10 @@ def run_thm11(
     :class:`BatchRunner` batch: the widths differ per diameter, so the
     trials advance together through the padded heterogeneous
     ``(S, W_max)`` kernel (one stack instead of one width-``len(seeds)``
-    stack per diameter; ``stack_mixed_geometry=False`` restores the
-    per-geometry grouping).  The sweep's depths differ per diameter too
+    stack per diameter).  The sweep's depths differ per diameter too
     (square grids), so depth compaction drops each diameter's trials out
     of the layer loop as they finish instead of padding everyone to the
-    deepest grid (``compact_depth=False`` opts out).  The per-diameter
+    deepest grid.  The per-diameter
     maxima come out of the stacked skew statistics, sliced per diameter.
     ``executor``/``shards`` are forwarded to :class:`BatchRunner`
     (``executor="process"`` shards the batch across worker processes).
@@ -123,9 +119,6 @@ def run_thm11(
         num_pulses=num_pulses,
         executor=executor,
         shards=shards,
-        stack_mixed_geometry=stack_mixed_geometry,
-        compact_depth=compact_depth,
-        compact_width=compact_width,
         neighbor_backend=neighbor_backend,
         kernel_backend=kernel_backend,
         store_times=store_times,

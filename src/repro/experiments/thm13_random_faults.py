@@ -164,9 +164,6 @@ def run_thm13(
     seeds: Sequence[int] | None = None,
     executor: str = "serial",
     shards: Optional[int] = None,
-    stack_mixed_geometry: bool = True,
-    compact_depth: bool = True,
-    compact_width: bool = True,
     neighbor_backend: str = "auto",
     kernel_backend: str = "auto",
     store_times: bool = False,
@@ -179,10 +176,9 @@ def run_thm13(
     the scalar fallback, which is exactly the regime
     ``executor="process"`` shards across cores.  The reference trial's
     pulse budget differs from the fault trials', not its geometry, so the
-    whole batch is one stack group either way; ``stack_mixed_geometry``
-    and ``compact_depth`` (which also retires trials whose layers a
-    fault plan has silenced outright) are forwarded for parity with the
-    other drivers.  The driver reduces to per-trial skew maxima, so it
+    whole batch is one stack group; depth compaction also retires
+    trials whose layers a fault plan has silenced outright.  The driver
+    reduces to per-trial skew maxima, so it
     streams by default (``store_times=False``, bit-identical statistics
     without the ``(S, K, L, W)`` block); ``store_times=True`` restores
     the materialized pulse times.
@@ -213,9 +209,6 @@ def run_thm13(
         num_pulses=num_pulses,
         executor=executor,
         shards=shards,
-        stack_mixed_geometry=stack_mixed_geometry,
-        compact_depth=compact_depth,
-        compact_width=compact_width,
         neighbor_backend=neighbor_backend,
         kernel_backend=kernel_backend,
         store_times=store_times,

@@ -154,7 +154,6 @@ def run_thm16(
     campaign: Optional[ChaosCampaign] = None,
     executor: str = "serial",
     shards: Optional[int] = None,
-    compact_width: bool = True,
     neighbor_backend: str = "auto",
     kernel_backend: str = "auto",
 ) -> Thm16Result:
@@ -241,7 +240,6 @@ def run_thm16(
         num_pulses=num_pulses,
         executor=executor,
         shards=shards,
-        compact_width=compact_width,
         neighbor_backend=neighbor_backend,
         kernel_backend=kernel_backend,
     )

@@ -28,6 +28,7 @@ already stored completes instantly as a recorded cache hit.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import itertools
 import threading
 import time
@@ -47,6 +48,13 @@ __all__ = [
     "build_trials",
     "to_jsonable",
 ]
+
+
+#: The ``runner`` keys a submission may set: every ``BatchRunner`` knob
+#: except ``num_pulses``, which is the submission's own field.
+_RUNNER_KNOBS = frozenset(inspect.signature(BatchRunner).parameters) - {
+    "num_pulses"
+}
 
 
 # ----------------------------------------------------------------------
@@ -403,7 +411,13 @@ class JobRunner:
             raise RuntimeError("JobRunner is not started; call start() first")
         num_pulses = int(submission.get("num_pulses", 4))
         runner_kwargs = self._runner_kwargs(submission.get("runner"))
-        BatchRunner(num_pulses=num_pulses, **runner_kwargs)  # validate knobs
+        unknown = sorted(set(runner_kwargs) - _RUNNER_KNOBS)
+        if unknown:
+            raise ValueError(
+                f"unknown runner knob(s) {', '.join(map(repr, unknown))}; "
+                f"accepted: {', '.join(sorted(_RUNNER_KNOBS))}"
+            )
+        BatchRunner(num_pulses=num_pulses, **runner_kwargs)  # validate values
         if trials is None:
             trials = build_trials(submission.get("grid"))
         key = grid_key(trials, num_pulses, runner_kwargs)

@@ -1,8 +1,7 @@
 """Content-addressed result store with stack-key + seed deduplication.
 
 The store maps a *grid key* -- a SHA-256 digest over every trial's
-identity (the strict :func:`~repro.experiments.batch._stack_key`, which
-pins algorithm, parameters, policy, layer count, and base-graph
+identity (algorithm, parameters, policy, layer count, and base-graph
 adjacency, plus the seed and every per-trial override), the pulse budget,
 and the runner's backend knobs -- to the pickled statistics payload of
 the finished batch.  Two submissions with the same key are the same
@@ -15,45 +14,43 @@ test suite pins that results are bitwise identical for every sharding,
 so a grid first run serially and resubmitted with
 ``executor="process"`` is still a hit.  Included even though they are
 also bitwise-invariant: ``kernel_backend`` / ``neighbor_backend`` /
-``vectorize`` / the stacking and compaction knobs -- the conservative
-reading of the cache contract (a backend bug should never be masked by
-a cache hit recorded under another backend).
+``vectorize`` -- the conservative reading of the cache contract (a
+backend bug should never be masked by a cache hit recorded under another
+backend).
 
 Values round-trip through :mod:`pickle`: ``put`` stores the pickled
 bytes (and optionally a ``<key>.pkl`` file when the store is given a
-directory), ``get`` unpickles a fresh copy -- so no consumer can mutate
-the cached arrays of another.
+directory, written through a per-writer temp file and an atomic
+rename), ``get`` unpickles a fresh copy -- so no consumer can mutate the
+cached arrays of another.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
+import tempfile
 import threading
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.experiments.batch import CONFIG_RATES, BatchTrial, _stack_key
+from repro.experiments.batch import CONFIG_RATES, BatchTrial
 
 __all__ = ["CACHE_VERSION", "ResultStore", "grid_key", "trial_cell_key"]
 
 #: Bumped whenever the key layout or payload schema changes, so stores
 #: persisted to disk never serve a stale schema.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: The :class:`~repro.experiments.batch.BatchRunner` knobs that enter the
 #: grid key, with their defaults.  ``executor``/``shards`` are absent by
 #: design (see the module docstring).
 KEYED_RUNNER_KNOBS: Dict[str, object] = {
     "vectorize": True,
-    "stack": True,
-    "stack_mixed_geometry": True,
-    "compact_depth": True,
-    "compact_width": True,
     "neighbor_backend": "auto",
     "kernel_backend": "auto",
     "store_times": True,
-    "sketch_rank": None,
     "potential_levels": (),
 }
 
@@ -61,16 +58,23 @@ KEYED_RUNNER_KNOBS: Dict[str, object] = {
 def trial_cell_key(trial: BatchTrial) -> Tuple:
     """One trial's identity tuple (everything that can change its result).
 
-    The strict stack key covers algorithm, parameters, policy, layer
-    count, and base-graph adjacency; the rest of the tuple adds the seed
-    and every per-trial override (fault plan, layer-0 schedule, delay
-    model, clock rates, campaign).  ``CONFIG_RATES`` and config-derived
+    The leading tuple covers algorithm, parameters, policy, layer count,
+    and base-graph adjacency; the rest adds the seed and every per-trial
+    override (fault plan, layer-0 schedule, delay model, clock rates,
+    campaign).  ``CONFIG_RATES`` and config-derived
     delays are functions of the seed, so the sentinel/seed pair pins
     them without materializing anything.
     """
     config = trial.config
+    graph = config.graph
     return (
-        _stack_key(trial, mixed_geometry=False),
+        (
+            trial.algorithm,
+            config.params,
+            trial.policy,
+            graph.num_layers,
+            graph.base.adjacency,
+        ),
         config.seed,
         config.diameter,
         trial.fault_plan,
@@ -187,9 +191,18 @@ class ResultStore:
         with self._lock:
             self._blobs[key] = blob
         if self._directory is not None:
-            tmp = self._directory / f".{key}.tmp"
-            tmp.write_bytes(blob)
-            tmp.replace(self._directory / f"{key}.pkl")
+            # A temp name per writer: two threads (or processes) putting
+            # one key never rename each other's half-written file away.
+            fd, tmp = tempfile.mkstemp(
+                dir=self._directory, prefix=f".{key}.", suffix=".tmp"
+            )
+            try:
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(blob)
+                os.replace(tmp, self._directory / f"{key}.pkl")
+            except BaseException:
+                os.unlink(tmp)
+                raise
 
     @property
     def stats(self) -> Dict[str, int]:

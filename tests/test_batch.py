@@ -193,7 +193,7 @@ class TestNoCopySingleStack:
         assert len(sharded.compaction_stats) == len(sharded.stack_groups)
 
     def test_per_trial_batches_remain_writable_copies(self):
-        trials, batch = seed_batch(stack=False)
+        trials, batch = seed_batch(vectorize=False)
         assert batch.times.flags.writeable
         for result in batch.results:
             assert not np.shares_memory(batch.times, result.times)
@@ -241,7 +241,7 @@ class TestBatchRunnerValidation:
 
 
 class TestSparseBatchOptions:
-    """neighbor_backend / compact_width threading through the runner."""
+    """neighbor_backend threading through the runner."""
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
@@ -276,22 +276,6 @@ class TestSparseBatchOptions:
         assert set(csr.fallback_reasons) == {0, 1}
         for reason in csr.fallback_reasons.values():
             assert "uniform-adjacency" in reason
-
-    def test_compact_width_off_matches_default(self):
-        trials = [
-            BatchTrial(config=standard_config(4)),
-            BatchTrial(config=standard_config(6)),
-        ]
-        on = BatchRunner(num_pulses=NUM_PULSES).run(trials)
-        off = BatchRunner(
-            num_pulses=NUM_PULSES, compact_width=False
-        ).run(trials)
-        np.testing.assert_array_equal(on.times, off.times)
-        (stats_on,) = on.compaction_stats
-        (stats_off,) = off.compaction_stats
-        assert "width" in stats_on["axes"]
-        assert stats_on["active_lane_steps"] < stats_on["padded_lane_steps"]
-        assert "width" not in stats_off["axes"]
 
     def test_shard_merge_keeps_lane_and_backend_stats(self):
         # Regression: shard merging must carry the new width/backend

@@ -1,9 +1,9 @@
 """Differential harness: every execution path against every other.
 
-The fast family has grown many layers -- per-trial vectorized kernel,
-scalar replay, homogeneous trial stack, padded heterogeneous stack, and
-now the depth-compacted stack -- each promising bit-identical output to
-the previous one, with the slow event-driven ``engine/`` simulator as the
+The fast family has several layers -- a single ``FastSimulation.run``
+(a trial stack of one), scalar replay, homogeneous trial stack, padded
+heterogeneous stack, and the compacted stack -- each promising
+bit-identical output to the previous one, with the slow event-driven ``engine/`` simulator as the
 independent ground truth underneath all of them.  This module pins the
 whole tower with one shared helper: a hypothesis-drawn scenario
 (topology, depth, delays, clock rates, layer-0 schedule, fault plan) is
@@ -23,9 +23,9 @@ run through every path, asserting
   array reducers applied to the materialized reference exactly, and
 * **bitwise agreement across neighbor backends**: hub-skewed sparse
   scenarios replay through the CSR edge-segment kernel (per-trial and
-  stacked) against the dense padded kernel, and through the width-axis
-  lane compaction against the lane-padded stack -- both new execution
-  columns must reproduce the dense reference exactly, and
+  stacked) against the dense padded kernel, and the width-axis lane
+  compaction against the scalar reference -- both execution columns
+  must reproduce the reference exactly, and
 * **dynamic adjacency** (:class:`~repro.faults.campaign.ChaosCampaign`):
   every scenario is additionally run under a hypothesis-drawn churn
   campaign -- leaves, joins, edge flaps, crashes, regional outages --
@@ -324,40 +324,28 @@ def run_fast_family(scenario, algorithm="full"):
 
     depth = scenario["graph"].num_layers
     padded = [fast_simulation(scenario, algorithm), _decoy(scenario, depth + 2, algorithm)]
-    family["padded_stack"] = TrialStack(
-        padded, compact_depth=False
-    ).run(NUM_PULSES)[0]
+    family["padded_stack"] = TrialStack(padded).run(NUM_PULSES)[0]
 
     # Compaction must engage from both sides: the scenario outlived by a
     # deeper decoy, and the scenario outliving a shallower one.
     deep = TrialStack(
         [fast_simulation(scenario, algorithm), _decoy(scenario, depth + 3, algorithm)],
-        compact_depth=True,
     )
     family["compacted_stack_deep_mate"] = deep.run(NUM_PULSES)[0]
-    assert deep.compaction_stats["enabled"]
     assert (
         deep.compaction_stats["active_row_steps"]
         < deep.compaction_stats["padded_row_steps"]
     )
     shallow = TrialStack(
         [fast_simulation(scenario, algorithm), _decoy(scenario, 1, algorithm)],
-        compact_depth=True,
     )
     family["compacted_stack_shallow_mate"] = shallow.run(NUM_PULSES)[0]
     # The depth-1 decoy is also the *wider* mate, so once it retires the
     # scenario's surviving rows drop the decoy's extra lanes: the width
-    # axis must actually engage here, never silently no-op.  Pin the
-    # lane-compacted leg above against the same stack with width
-    # compaction forced off.
+    # axis must actually engage here, never silently no-op.
     stats = shallow.compaction_stats
     assert "width" in stats["axes"], stats
     assert stats["active_lane_steps"] < stats["padded_lane_steps"], stats
-    family["lane_padded_shallow_mate"] = TrialStack(
-        [fast_simulation(scenario, algorithm), _decoy(scenario, 1, algorithm)],
-        compact_depth=True,
-        compact_width=False,
-    ).run(NUM_PULSES)[0]
 
     family["scalar"] = fast_simulation(
         scenario, algorithm, vectorize=False
@@ -391,15 +379,12 @@ def run_streaming_family(scenario, algorithm="full"):
     depth = scenario["graph"].num_layers
     family["padded_stack"] = TrialStack(
         [fast_simulation(scenario, algorithm), _decoy(scenario, depth + 2, algorithm)],
-        compact_depth=False,
     ).run(NUM_PULSES, reducers=_stream_reducers(), **kwargs)[0]
     family["compacted_stack_deep_mate"] = TrialStack(
         [fast_simulation(scenario, algorithm), _decoy(scenario, depth + 3, algorithm)],
-        compact_depth=True,
     ).run(NUM_PULSES, reducers=_stream_reducers(), **kwargs)[0]
     family["compacted_stack_shallow_mate"] = TrialStack(
         [fast_simulation(scenario, algorithm), _decoy(scenario, 1, algorithm)],
-        compact_depth=True,
     ).run(NUM_PULSES, reducers=_stream_reducers(), **kwargs)[0]
     family["scalar"] = fast_simulation(
         scenario, algorithm, vectorize=False
@@ -442,21 +427,18 @@ def run_campaign_family(scenario, campaign):
             campaign_simulation(scenario, campaign),
             _decoy(scenario, depth + 2, "full"),
         ],
-        compact_depth=False,
     ).run(CAMPAIGN_PULSES)[0]
     family["compacted_stack_deep_mate"] = TrialStack(
         [
             campaign_simulation(scenario, campaign),
             _decoy(scenario, depth + 3, "full"),
         ],
-        compact_depth=True,
     ).run(CAMPAIGN_PULSES)[0]
     family["compacted_stack_shallow_mate"] = TrialStack(
         [
             campaign_simulation(scenario, campaign),
             _decoy(scenario, 1, "full"),
         ],
-        compact_depth=True,
     ).run(CAMPAIGN_PULSES)[0]
     family["scalar"] = campaign_simulation(
         scenario, campaign, vectorize=False
@@ -815,7 +797,6 @@ class TestEngineDifferential:
         depth = scenario["graph"].num_layers
         stack = TrialStack(
             [fast_simulation(scenario), _decoy(scenario, depth + 3, "full")],
-            compact_depth=True,
         )
         stacked = stack.run(NUM_PULSES)[0]
         event = self._engine_times(scenario)
@@ -945,7 +926,6 @@ class TestCampaignEngineDifferential:
                 campaign_simulation(scenario, campaign),
                 _decoy(scenario, depth + 3, "full"),
             ],
-            compact_depth=True,
         ).run(CAMPAIGN_PULSES)[0]
         event = self._engine_times_stitched(scenario, campaign)
         np.testing.assert_array_equal(np.isnan(event), np.isnan(stacked.times))
@@ -1112,8 +1092,13 @@ def test_campaign_permanent_leave_frees_lanes():
         )
         return [trial, decoy]
 
-    want = TrialStack(sims(), compact_width=False).run(CAMPAIGN_PULSES + 1)
-    stack = TrialStack(sims(), compact_width=True)
+    # Knob-free baseline: each simulation on its own through the scalar
+    # reference replay.
+    want = []
+    for sim in sims():
+        sim.vectorize = False
+        want.append(sim.run(CAMPAIGN_PULSES + 1))
+    stack = TrialStack(sims())
     got = stack.run(CAMPAIGN_PULSES + 1)
     for index, (got_one, want_one) in enumerate(zip(got, want)):
         assert_results_equal(

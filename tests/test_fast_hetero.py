@@ -76,6 +76,14 @@ HETERO_SETTINGS = settings(
 )
 
 
+def per_trial_batch(trials, num_pulses, vectorize=True):
+    """Knob-free per-trial baseline: one ``FastSimulation.run`` per trial."""
+    return BatchResult(
+        trials,
+        [trial.simulation(vectorize=vectorize).run(num_pulses) for trial in trials],
+    )
+
+
 @st.composite
 def base_graphs(draw):
     """Mixed topologies and widths: line, cycle, complete, torus."""
@@ -365,13 +373,22 @@ class TestHeterogeneousGrouping:
         assert stack_compatibility(sims) is None
 
     def test_opt_out_groups_by_geometry(self):
+        # Grouping by geometry is now the caller's choice: one
+        # BatchRunner.run per group must reproduce the single stack.
         trials = thm11_style_trials()
-        batch = BatchRunner(
-            num_pulses=NUM_PULSES, stack_mixed_geometry=False
-        ).run(trials)
-        assert sorted(len(g) for g in batch.stack_groups) == [2, 2, 2]
-        reference = BatchRunner(num_pulses=NUM_PULSES).run(trials)
-        np.testing.assert_array_equal(batch.times, reference.times)
+        stacked = BatchRunner(num_pulses=NUM_PULSES).run(trials)
+        runner = BatchRunner(num_pulses=NUM_PULSES)
+        groups = {}
+        for i, trial in enumerate(trials):
+            groups.setdefault(trial.config.diameter, []).append(i)
+        assert sorted(len(g) for g in groups.values()) == [2, 2, 2]
+        for indices in groups.values():
+            grouped = runner.run([trials[i] for i in indices])
+            assert grouped.stack_groups == [list(range(len(indices)))]
+            depth, width = grouped.times.shape[-2:]
+            np.testing.assert_array_equal(
+                stacked.times[indices, :, :depth, :width], grouped.times
+            )
 
     def test_algorithms_still_split_groups(self):
         config = standard_config(4, num_pulses=NUM_PULSES)
@@ -430,9 +447,7 @@ class TestDepthSkewCompaction:
     def test_compaction_bit_identical_and_accounted(self, depths, diameter):
         trials = self._depth_trials(depths, diameter=diameter)
         compact = BatchRunner(num_pulses=2).run(trials)
-        padded = BatchRunner(num_pulses=2, compact_depth=False).run(trials)
-        per_trial = BatchRunner(num_pulses=2, stack=False).run(trials)
-        np.testing.assert_array_equal(compact.times, padded.times)
+        per_trial = per_trial_batch(trials, 2, vectorize=False)
         np.testing.assert_array_equal(compact.times, per_trial.times)
         np.testing.assert_array_equal(
             compact.corrections, per_trial.corrections
@@ -443,17 +458,10 @@ class TestDepthSkewCompaction:
         assert compact.stack_groups == [list(range(len(trials)))]
         assert compact.fallback_reasons == {}
         (stats,) = compact.compaction_stats
-        assert stats["enabled"]
         assert stats["padded_row_steps"] == (
             2 * (max(depths) - 1) * len(depths)
         )
         assert stats["active_row_steps"] == 2 * sum(d - 1 for d in depths)
-        (padded_stats,) = padded.compaction_stats
-        assert not padded_stats["enabled"]
-        assert (
-            padded_stats["active_row_steps"]
-            == padded_stats["padded_row_steps"]
-        )
 
     @HETERO_SETTINGS
     @given(depths=st.lists(st.integers(1, 7), min_size=2, max_size=5))
@@ -480,7 +488,7 @@ class TestDepthSkewCompaction:
         """The acceptance cell: depths {1, 512} in one stack, bit-identical."""
         trials = self._depth_trials([1, 512, 1, 3])
         compact = BatchRunner(num_pulses=2).run(trials)
-        per_trial = BatchRunner(num_pulses=2, stack=False).run(trials)
+        per_trial = per_trial_batch(trials, 2)
         np.testing.assert_array_equal(compact.times, per_trial.times)
         np.testing.assert_array_equal(
             compact.effective_corrections, per_trial.effective_corrections
@@ -511,13 +519,11 @@ class TestDepthSkewCompaction:
             ),
         ]
         compact = BatchRunner(num_pulses=3).run(trials)
-        padded = BatchRunner(num_pulses=3, compact_depth=False).run(trials)
-        per_trial = BatchRunner(num_pulses=3, stack=False).run(trials)
-        for reference in (padded, per_trial):
-            np.testing.assert_array_equal(compact.times, reference.times)
-            np.testing.assert_array_equal(
-                compact.corrections, reference.corrections
-            )
+        per_trial = per_trial_batch(trials, 3, vectorize=False)
+        np.testing.assert_array_equal(compact.times, per_trial.times)
+        np.testing.assert_array_equal(
+            compact.corrections, per_trial.corrections
+        )
         for got, want in zip(compact.results, per_trial.results):
             assert got.fault_sends == want.fault_sends
             np.testing.assert_array_equal(got.branches, want.branches)
@@ -531,15 +537,6 @@ class TestDepthSkewCompaction:
 class TestFallbackReasons:
     """Per-trial fallbacks always leave a trace on BatchResult."""
 
-    def test_stack_disabled_records_reason(self):
-        trials = thm11_style_trials(diameters=(4,), seeds=(0, 1))
-        batch = BatchRunner(num_pulses=NUM_PULSES, stack=False).run(trials)
-        assert batch.stack_groups == []
-        assert set(batch.fallback_reasons) == {0, 1}
-        assert all(
-            "stack=False" in why for why in batch.fallback_reasons.values()
-        )
-
     def test_scalar_path_records_reason(self):
         trials = thm11_style_trials(diameters=(4,), seeds=(0,))
         batch = BatchRunner(num_pulses=NUM_PULSES, vectorize=False).run(trials)
@@ -552,6 +549,7 @@ class TestFallbackReasons:
     def test_process_executor_propagates_reasons(self):
         trials = thm11_style_trials(diameters=(4, 6), seeds=(0, 1))
         batch = BatchRunner(
-            num_pulses=NUM_PULSES, executor="process", shards=2, stack=False
+            num_pulses=NUM_PULSES, executor="process", shards=2,
+            vectorize=False,
         ).run(trials)
         assert set(batch.fallback_reasons) == set(range(len(trials)))

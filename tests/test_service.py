@@ -140,6 +140,23 @@ class TestGridKey:
             trials, NUM_PULSES, {"kernel_backend": "auto"}
         )
 
+    def test_key_unchanged_by_running_the_trials(self):
+        # The delay model's memo caches fill during a run; they must not
+        # leak into the key, or a resubmitted grid misses the store.
+        config = standard_config(4, seed=3)
+        trial = BatchTrial(config=config, delay_model=config.delay_model)
+        before = grid_key([trial], 2)
+        BatchRunner(num_pulses=2).run([trial])
+        assert config.delay_model._edge_array_cache
+        assert grid_key([trial], 2) == before
+
+    def test_cor15_key_unchanged_by_running(self):
+        # Drifting delays and clock rates memoize their walks lazily too.
+        trials = build_trials({"kind": "cor15", "diameter": 4, "seed": 1})
+        before = grid_key(trials, 3)
+        BatchRunner(num_pulses=3).run(trials)
+        assert grid_key(trials, 3) == before
+
     def test_unpicklable_grid_is_uncacheable(self):
         trial = BatchTrial(
             config=standard_config(4),
@@ -167,6 +184,39 @@ class TestResultStore:
         assert store.get("k") == {"x": 1}
         assert store.peek_bytes("k") is not None  # result fetch: no stat
         assert store.stats == {"entries": 1, "hits": 1, "misses": 1}
+
+    def test_concurrent_puts_of_one_key(self, tmp_path):
+        # Two identical in-flight jobs both miss and both put; every
+        # writer needs its own temp file or the renames race.
+        store = ResultStore(directory=str(tmp_path))
+        errors = []
+        barrier = threading.Barrier(8)
+
+        def put(i):
+            try:
+                barrier.wait()
+                for _ in range(20):
+                    store.put("beef", {"skews": np.arange(1000.0)})
+            except Exception as exc:  # pragma: no cover - the regression
+                errors.append(exc)
+
+        threads = [threading.Thread(target=put, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["beef.pkl"]
+        np.testing.assert_array_equal(
+            ResultStore(directory=str(tmp_path)).get("beef")["skews"],
+            np.arange(1000.0),
+        )
 
     def test_directory_persistence_round_trip(self, tmp_path):
         first = ResultStore(directory=str(tmp_path))
@@ -305,6 +355,10 @@ class TestJobRunner:
         with pytest.raises(ValueError):
             runner.submit(
                 {"grid": SMALL_GRID, "runner": {"kernel_backend": "cuda"}}
+            )
+        with pytest.raises(ValueError, match="'compact_depth'"):
+            runner.submit(
+                {"grid": SMALL_GRID, "runner": {"compact_depth": False}}
             )
         assert runner.jobs() == []
 
@@ -472,6 +526,17 @@ class TestServiceHTTP:
     def test_bad_grid_is_a_400(self, client):
         with pytest.raises(RuntimeError, match="HTTP 400"):
             client.submit({"kind": "thm99"})
+
+    @pytest.mark.parametrize(
+        "knob",
+        ["stack", "stack_mixed_geometry", "compact_depth", "compact_width",
+         "sketch_rank"],
+    )
+    def test_retired_runner_knob_is_a_400_naming_it(self, client, knob):
+        with pytest.raises(RuntimeError, match=f"HTTP 400.*'{knob}'"):
+            client.submit(
+                self.GRID, num_pulses=NUM_PULSES, runner={knob: False}
+            )
 
     def test_unknown_job_is_a_404(self, client):
         with pytest.raises(RuntimeError, match="HTTP 404"):

@@ -1,4 +1,4 @@
-"""Streaming reducers: memory contract, shard merging, pickling, sketch.
+"""Streaming reducers: memory contract, shard merging, pickling.
 
 The bitwise agreement of streamed statistics with the materialized array
 reducers across every execution path lives in ``test_differential.py``;
@@ -8,10 +8,7 @@ this module pins everything else the streaming pipeline promises:
   block (asserted with :mod:`tracemalloc`, not by inspection),
 * streamed accumulators survive process-executor pickling, shard merges
   reproduce the serial run bitwise, and one stack group's results share
-  one :class:`StreamedStats` even after a pickle round-trip,
-* the incremental low-rank sketch reconstructs the block exactly while
-  the data rank fits, stays bounded when it does not, and merges across
-  shards, and
+  one :class:`StreamedStats` even after a pickle round-trip, and
 * the failure modes raise instead of silently serving garbage (mixed
   streamed/materialized batches, missing reducers, block-less results
   without accumulators).
@@ -24,12 +21,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.skew import local_skew_layers
-from repro.analysis.streaming import (
-    IncrementalSketch,
-    StreamLayout,
-    StreamedStats,
-    default_reducers,
-)
+from repro.analysis.streaming import StreamedStats
 from repro.core.fast import FastSimulation
 from repro.core.fast_batch import TrialStack
 from repro.experiments.batch import BatchRunner, BatchTrial
@@ -278,72 +270,6 @@ class TestShardsAndPickling:
 
 
 # ----------------------------------------------------------------------
-# Incremental sketch
-# ----------------------------------------------------------------------
-class TestIncrementalSketch:
-    def _run_with_sketch(self, rank, diameter=6, seed=0):
-        sim = _simulation(diameter, seed=seed)
-        reducers = default_reducers(sketch_rank=rank)
-        streamed = sim.run(NUM_PULSES, reducers=reducers, store_times=True)
-        return streamed, streamed.streamed["sketch"]
-
-    def test_exact_reconstruction_at_full_rank(self):
-        graph = standard_config(6).graph
-        planes = NUM_PULSES * graph.num_layers
-        result, sketch = self._run_with_sketch(rank=planes)
-        assert sketch.num_columns == planes
-        want = np.where(np.isnan(result.times), 0.0, result.times)[None]
-        np.testing.assert_allclose(
-            sketch.reconstruct(), want, rtol=0.0, atol=1e-8
-        )
-
-    def test_rank_stays_bounded(self):
-        rank = 3
-        _, sketch = self._run_with_sketch(rank=rank)
-        assert sketch._sv.size <= rank
-        assert sketch._u.shape[1] <= rank
-        assert sketch._vt.shape[0] <= rank
-        # Still a sensible approximation: the dominant singular direction
-        # of pulse-time planes is huge (times grow ~linearly per pulse).
-        result, _ = self._run_with_sketch(rank=rank)
-        want = np.where(np.isnan(result.times), 0.0, result.times)[None]
-        got = sketch.reconstruct()
-        rel = np.linalg.norm(got - want) / np.linalg.norm(want)
-        assert rel < 0.05
-
-    def test_merged_sketch_covers_both_shards(self):
-        planes = NUM_PULSES * standard_config(6).graph.num_layers
-        result_a, sketch_a = self._run_with_sketch(rank=planes, seed=0)
-        result_b, sketch_b = self._run_with_sketch(rank=planes, seed=1)
-        layout = StreamLayout(
-            [result_a.graph, result_b.graph],
-            [result_a.params.kappa, result_b.params.kappa],
-            NUM_PULSES,
-        )
-        merged = sketch_a.merged(sketch_b, layout)
-        stacked = np.concatenate(
-            [
-                np.where(np.isnan(r.times), 0.0, r.times)[None]
-                for r in (result_a, result_b)
-            ]
-        )
-        np.testing.assert_allclose(
-            merged.reconstruct(), stacked, rtol=0.0, atol=1e-8
-        )
-
-    def test_invalid_rank_rejected(self):
-        with pytest.raises(ValueError, match="rank"):
-            IncrementalSketch(0)
-
-    def test_batch_carries_the_sketch(self):
-        batch = BatchRunner(
-            num_pulses=3, store_times=False, sketch_rank=2
-        ).run(_trials(4, faults=False))
-        sketches = batch.sketches()
-        assert sketches and all(s._sv.size <= 2 for s in sketches)
-
-
-# ----------------------------------------------------------------------
 # Failure modes
 # ----------------------------------------------------------------------
 class TestFailureModes:
@@ -359,8 +285,6 @@ class TestFailureModes:
         batch = BatchRunner(num_pulses=3, store_times=False).run(_trials(2))
         with pytest.raises(ValueError, match="potential_s2"):
             batch.potentials(2)
-        with pytest.raises(ValueError, match="sketch"):
-            batch.sketches()
 
     def test_blockless_result_without_stream_raises(self):
         result = _simulation().run(NUM_PULSES, store_times=False)
