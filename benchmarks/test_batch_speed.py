@@ -44,14 +44,6 @@ Four micro-benchmarks track the performance trajectory across PRs:
   with ``neighbor_backend="auto"`` vs explicit ``"dense"`` -- the
   density heuristic must pick dense on regular graphs and cost nothing
   measurable (<= 1.25x, bitwise-identical times).
-* ``test_kernel_backend_ops_speedup``: the pluggable kernel backend at
-  the ops level -- the dense padded neighbor reduction and its CSR
-  segment twin on the S = 64, D = 32 stacked cell shape, NumPy vs the
-  numba JIT backend.  The numba legs run (and the >= 2x dense floor is
-  asserted) only when the optional ``numba`` extra is installed --
-  CI's numba-backend job; a NumPy-only run still records its own legs.
-  Recorded under the ``"backend"`` section, together with a
-  full-kernel trial-stacked timing per installed backend.
 * ``test_streaming_memory_reduction``: the streaming result pipeline
   (``store_times=False``) vs the materialized ``(S, K, L, W)`` block on
   an S = 64, 32-pulse cell, tracking peak memory with ``tracemalloc``
@@ -78,11 +70,6 @@ import pytest
 
 from repro.analysis.report import format_table
 from repro.clocks import uniform_random_rates
-from repro.core.backend import (
-    NUMPY_OPS,
-    numba_available,
-    resolve_kernel_ops,
-)
 from repro.core.fast import FastSimulation
 from repro.delays import StaticDelayModel, UniformDelayModel
 from repro.experiments.batch import BatchResult, BatchRunner
@@ -1176,164 +1163,6 @@ def test_dense_backend_no_regression():
         f"the auto backend heuristic costs {overhead:.2f}x the explicit "
         f"dense run ({auto_time:.4f}s vs {dense_time:.4f}s)"
     )
-
-
-#: The kernel-backend ops cell mirrors the trial-stacked acceptance cell
-#: (S = 64 trials at D = 32); the reductions are microseconds each, so
-#: every timed leg loops the op to push the measurement out of timer
-#: noise.
-BACKEND_OPS_ITERS = 200
-
-
-def _looped(fn, iters=BACKEND_OPS_ITERS):
-    """Wrap an op so one timed call runs it ``iters`` times."""
-
-    def run():
-        out = None
-        for _ in range(iters):
-            out = fn()
-        return out
-
-    return run
-
-
-def test_kernel_backend_ops_speedup():
-    """Numba dense neighbor reduction >= 2x NumPy (when installed).
-
-    Benchmarks the two reductions behind the layer-step kernels --
-    dense padded gather-reduce and the CSR segment reduce -- on the
-    S = 64, D = 32 stacked cell shape, per kernel backend, plus one
-    full-kernel trial-stacked run per installed backend.  The numba
-    legs are bitwise-checked against NumPy and the >= 2x dense-ops
-    floor asserted only when the optional extra is installed (CI's
-    numba-backend job); NumPy-only environments still refresh their
-    legs of the ``"backend"`` section in ``BENCH_batch.json``.
-    """
-    base = replicated_line(BATCH_DIAMETER + 1)
-    nb_idx, nb_valid = base.neighbor_index_arrays()
-    indptr, indices, _ = base.neighbor_csr()
-    width = base.num_nodes
-    max_deg = nb_idx.shape[1]
-    nnz = indices.shape[0]
-    owner = np.repeat(np.arange(width, dtype=np.int64), np.diff(indptr))
-    has_neighbors = np.diff(indptr) > 0
-
-    rng = np.random.default_rng(0)
-    prev = rng.normal(size=(BATCH_TRIALS, width))
-    rate = 1.0 + (PARAMS.vartheta - 1.0) * rng.random((BATCH_TRIALS, width))
-    dense_delay = rng.uniform(
-        PARAMS.d - PARAMS.u, PARAMS.d, size=(BATCH_TRIALS, width, max_deg)
-    )
-    csr_delay = rng.uniform(
-        PARAMS.d - PARAMS.u, PARAMS.d, size=(BATCH_TRIALS, nnz)
-    )
-
-    def dense_leg(ops):
-        return lambda: ops.neighbor_min_max(
-            prev, nb_idx, nb_valid, dense_delay, rate
-        )
-
-    def csr_leg(ops):
-        return lambda: ops.segment_min_max(
-            prev, indices, indptr, csr_delay, rate, owner, has_neighbors
-        )
-
-    ops_times = {}
-    ops_times["numpy_dense"], want_dense = timed(_looped(dense_leg(NUMPY_OPS)))
-    ops_times["numpy_csr"], want_csr = timed(_looped(csr_leg(NUMPY_OPS)))
-
-    # Full-kernel context: the same reduction inside the trial-stacked
-    # BatchRunner cell, per installed backend.
-    trials = BatchRunner.seed_sweep(
-        BATCH_DIAMETER, range(BATCH_TRIALS), num_pulses=NUM_PULSES
-    )
-    numpy_runner = BatchRunner(num_pulses=NUM_PULSES, kernel_backend="numpy")
-    numpy_runner.run(trials)  # warm the delay/rate caches
-    full_times = {}
-    full_times["numpy"], numpy_batch = timed(lambda: numpy_runner.run(trials))
-
-    speedup = None
-    if numba_available():
-        numba_ops = resolve_kernel_ops("numba")
-        dense_leg(numba_ops)()  # trigger JIT compilation outside timing
-        csr_leg(numba_ops)()
-        ops_times["numba_dense"], got_dense = timed(
-            _looped(dense_leg(numba_ops))
-        )
-        ops_times["numba_csr"], got_csr = timed(_looped(csr_leg(numba_ops)))
-        # Bit-exactness contract of repro.core.backend, at the ops level.
-        for got, want in ((got_dense, want_dense), (got_csr, want_csr)):
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
-        numba_runner = BatchRunner(
-            num_pulses=NUM_PULSES, kernel_backend="numba"
-        )
-        numba_runner.run(trials)  # warm caches + compile
-        full_times["numba"], numba_batch = timed(
-            lambda: numba_runner.run(trials)
-        )
-        np.testing.assert_array_equal(numba_batch.times, numpy_batch.times)
-        speedup = ops_times["numpy_dense"] / ops_times["numba_dense"]
-
-    elements = BATCH_TRIALS * width * max_deg * BACKEND_OPS_ITERS
-    _merge_bench_json(
-        {
-            "backend": {
-                "grid": {
-                    "diameter": BATCH_DIAMETER,
-                    "width": width,
-                    "max_deg": max_deg,
-                    "nnz": nnz,
-                    "trials": BATCH_TRIALS,
-                    "ops_iters": BACKEND_OPS_ITERS,
-                },
-                "numba_available": numba_available(),
-                "ops": {
-                    name: {
-                        "seconds": seconds,
-                        "lanes_per_s": elements / seconds,
-                    }
-                    for name, seconds in ops_times.items()
-                },
-                "full_kernel": {
-                    name: _mode_record(
-                        BATCH_TRIALS,
-                        seconds,
-                        trials[0].config.graph.num_nodes * NUM_PULSES,
-                    )
-                    for name, seconds in full_times.items()
-                },
-                "speedups": {"numba_vs_numpy_dense_ops": speedup},
-            }
-        }
-    )
-
-    print()
-    print(
-        format_table(
-            ["leg", "seconds", "lanes/s"],
-            [
-                (name, seconds, elements / seconds)
-                for name, seconds in ops_times.items()
-            ]
-            + [
-                (f"full_kernel[{name}]", seconds, "")
-                for name, seconds in full_times.items()
-            ],
-            title=f"Kernel backends, S={BATCH_TRIALS}, D={BATCH_DIAMETER} "
-            + (
-                f"(numba {speedup:.1f}x vs numpy on dense ops)"
-                if speedup is not None
-                else "(numba not installed; NumPy legs only)"
-            ),
-        )
-    )
-    if speedup is not None:
-        assert speedup >= 2.0, (
-            f"numba dense reduction only {speedup:.1f}x faster than NumPy "
-            f"({ops_times['numba_dense']:.4f}s vs "
-            f"{ops_times['numpy_dense']:.4f}s)"
-        )
 
 
 def test_batch_runner_throughput():

@@ -77,7 +77,6 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.backend import NUMPY_OPS, resolve_kernel_ops
 from repro.core.correction import CorrectionPolicy, PAPER_POLICY, compute_correction
 from repro.core.layer0 import Layer0Schedule, PerfectLayer0
 from repro.delays.models import DelayModel, UniformDelayModel
@@ -258,6 +257,62 @@ def _registers_step(
     return eligible, correction, branches, pulse_time, effective
 
 
+def _neighbor_min_max(
+    prev: np.ndarray,
+    nb_idx: np.ndarray,
+    nb_valid: np.ndarray,
+    nb_delay: np.ndarray,
+    rate: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense padded neighbor reduction: ``(H_min, H_max)``.
+
+    Gathers the predecessors' send times through the padded index rows,
+    adds the edge delays, applies the rate and reduces over the lane axis
+    with invalid lanes filled ``+inf`` (min) / ``-inf`` (max); NaN (a
+    missing predecessor) propagates.  A 3-D ``nb_idx`` carries a leading
+    trial axis (``(S, W, max_deg)``) and row ``s`` indexes only into
+    trial ``s``'s plane of ``prev``.
+    """
+    if nb_idx.ndim == 3:
+        flat = np.take_along_axis(
+            prev, nb_idx.reshape(nb_idx.shape[0], -1), axis=-1
+        )
+        gathered = flat.reshape(nb_idx.shape)
+    else:
+        gathered = prev[..., nb_idx]
+    h_nb = rate[..., None] * (gathered + nb_delay)
+    h_min = np.where(nb_valid, h_nb, np.inf).min(axis=-1)
+    h_max = np.where(nb_valid, h_nb, -np.inf).max(axis=-1)
+    return h_min, h_max
+
+
+def _segment_min_max(
+    prev: np.ndarray,
+    indices: np.ndarray,
+    indptr: np.ndarray,
+    nb_delay: np.ndarray,
+    rate: np.ndarray,
+    owner: np.ndarray,
+    has_neighbors: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR neighbor reduction: per-vertex segment ``(H_min, H_max)``.
+
+    ``np.minimum.reduceat`` / ``np.maximum.reduceat`` at the segment
+    starts; empty segments (degree-0 vertices, campaign epochs only) get
+    the dense identities ``+inf`` / ``-inf`` explicitly since
+    ``reduceat`` has no empty reduction.  Callers guarantee ``nnz > 0``.
+    """
+    nnz = indices.shape[0]
+    h_nb = rate[..., owner] * (prev[..., indices] + nb_delay)
+    starts = np.minimum(indptr[:-1], nnz - 1)
+    h_min = np.minimum.reduceat(h_nb, starts, axis=-1)
+    h_max = np.maximum.reduceat(h_nb, starts, axis=-1)
+    if not has_neighbors.all():
+        h_min[..., ~has_neighbors] = np.inf
+        h_max[..., ~has_neighbors] = -np.inf
+    return h_min, h_max
+
+
 def _layer_step_kernel(
     prev: np.ndarray,
     own_delay: np.ndarray,
@@ -269,7 +324,6 @@ def _layer_step_kernel(
     params: Parameters,
     policy: CorrectionPolicy,
     simplified: bool,
-    ops=NUMPY_OPS,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One pulse of one layer for every cell of a ``(..., W)`` plane.
 
@@ -314,10 +368,7 @@ def _layer_step_kernel(
     """
     own_arrival = prev + own_delay
     h_own = rate * own_arrival
-    # Padded gather + delay + rate product + masked min/max, delegated to
-    # the selected backend (NumPy composition or a fused numba kernel;
-    # bitwise identical either way -- see :mod:`repro.core.backend`).
-    h_min, h_max = ops.neighbor_min_max(prev, nb_idx, nb_valid, nb_delay, rate)
+    h_min, h_max = _neighbor_min_max(prev, nb_idx, nb_valid, nb_delay, rate)
 
     return _registers_step(
         h_own, h_min, h_max, rate, static_eligible, params, policy, simplified
@@ -337,7 +388,6 @@ def _layer_step_kernel_csr(
     params: Parameters,
     policy: CorrectionPolicy,
     simplified: bool,
-    ops=NUMPY_OPS,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """CSR variant of :func:`_layer_step_kernel`: reduce over edge segments.
 
@@ -370,7 +420,7 @@ def _layer_step_kernel_csr(
         h_min = np.full(lead + (indptr.shape[0] - 1,), np.inf)
         h_max = np.full(lead + (indptr.shape[0] - 1,), -np.inf)
     else:
-        h_min, h_max = ops.segment_min_max(
+        h_min, h_max = _segment_min_max(
             prev, indices, indptr, nb_delay, rate, owner, has_neighbors
         )
 
@@ -611,15 +661,6 @@ class FastSimulation:
         large graphs whose padding wastes >= 2x, dense otherwise).
         Both backends are bit-identical on eligible cells; campaign
         runs always use the dense padded tables.
-    kernel_backend:
-        Array-op implementation behind the layer-step kernels:
-        ``"numpy"`` (default resolution), ``"numba"`` (fused JIT
-        reductions; requires the optional ``numba`` extra) or
-        ``"auto"`` (numba when installed, NumPy otherwise).  Backends
-        are bitwise identical on eligible cells -- the knob is purely a
-        speed choice; see :mod:`repro.core.backend`.  Resolution happens
-        eagerly, so an explicit ``"numba"`` without the package raises
-        here rather than mid-run.
     """
 
     def __init__(
@@ -635,7 +676,6 @@ class FastSimulation:
         vectorize: bool = True,
         campaign: Optional["ChaosCampaign"] = None,
         neighbor_backend: str = "auto",
-        kernel_backend: str = "auto",
     ) -> None:
         if algorithm not in ("full", "simplified"):
             raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -667,11 +707,6 @@ class FastSimulation:
         self.vectorize = vectorize
         self.campaign = campaign
         self.neighbor_backend = neighbor_backend
-        # Eager resolution: validates the name, raises the install hint
-        # for an explicit "numba" without the package, and picks the
-        # concrete ops object every kernel call will route through.
-        self.kernel_backend = kernel_backend
-        self._kernel_ops = resolve_kernel_ops(kernel_backend)
         self._rates = clock_rates
         # (num_pulses, W) layer-0 schedule, gathered once per run in
         # :meth:`_begin_run`; consumed row by row in :meth:`_run_layer0`.
@@ -718,11 +753,7 @@ class FastSimulation:
         if self.vectorize:
             from repro.core.fast_batch import TrialStack
 
-            stack = TrialStack(
-                [self],
-                neighbor_backend=self.neighbor_backend,
-                kernel_backend=self.kernel_backend,
-            )
+            stack = TrialStack([self], neighbor_backend=self.neighbor_backend)
             return stack._run(num_pulses, reducers, store_times)[0]
         stream = None
         if reducers is not None or not store_times:

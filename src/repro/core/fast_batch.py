@@ -115,7 +115,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.backend import resolve_kernel_ops
 from repro.core.fast import (
     BRANCH_CODES,
     NEIGHBOR_BACKENDS,
@@ -413,13 +412,6 @@ class TrialStack:
         :func:`repro.core.fast._prefer_csr`) and the dense padded
         tensors otherwise; mixed-adjacency and campaign stacks always run
         dense (``compaction_stats["backend_fallback"]`` says why).
-    kernel_backend:
-        ``"auto"`` (default), ``"numpy"``, or ``"numba"``: the array-op
-        implementation behind the stacked layer-step kernels (see
-        :mod:`repro.core.backend`).  ``"auto"`` picks numba when the
-        optional extra is installed and NumPy otherwise; backends are
-        bitwise identical, so the knob is purely a speed choice.  The
-        resolved name lands in ``compaction_stats["kernel_backend"]``.
 
     Notes
     -----
@@ -458,7 +450,6 @@ class TrialStack:
         self,
         sims: Sequence[FastSimulation],
         neighbor_backend: str = "auto",
-        kernel_backend: str = "auto",
     ) -> None:
         reason = stack_compatibility(sims)
         if reason is not None:
@@ -470,11 +461,6 @@ class TrialStack:
             )
         self.sims: List[FastSimulation] = list(sims)
         self.neighbor_backend = neighbor_backend
-        # Eager resolution, mirroring FastSimulation: validates the name
-        # and raises the install hint for an explicit "numba" without
-        # the package before any trial starts.
-        self.kernel_backend = kernel_backend
-        self._kernel_ops = resolve_kernel_ops(kernel_backend)
         #: Row/lane-step accounting of the last :meth:`run`; see the
         #: module docstring.  ``None`` until the first run completes.
         self.compaction_stats: Optional[Dict[str, object]] = None
@@ -920,7 +906,8 @@ class TrialStack:
             ),
             "neighbor_backend": backend,
             "backend_fallback": backend_fallback,
-            "kernel_backend": self._kernel_ops.name,
+            # Always "numpy": kept for report readers that key on it.
+            "kernel_backend": "numpy",
             # Batched-fallback accounting: total kernel-rejected cells
             # resolved by the masked replay, and in how many batched
             # passes.  Zero on fault-free stacks.
@@ -1238,7 +1225,6 @@ class TrialStack:
                     structs["params"],
                     structs["policy"],
                     simplified,
-                    ops=self._kernel_ops,
                 )
             )
         else:
@@ -1254,7 +1240,6 @@ class TrialStack:
                     structs["params"],
                     structs["policy"],
                     simplified,
-                    ops=self._kernel_ops,
                 )
             )
 

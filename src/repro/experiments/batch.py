@@ -60,7 +60,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backend import KERNEL_BACKENDS
 from repro.core.correction import CorrectionPolicy, PAPER_POLICY
 from repro.core.fast import (
     NEIGHBOR_BACKENDS,
@@ -129,7 +128,6 @@ class BatchTrial:
         self,
         vectorize: bool = True,
         neighbor_backend: str = "auto",
-        kernel_backend: str = "auto",
     ) -> FastSimulation:
         """The :class:`FastSimulation` realizing this trial."""
         rates = (
@@ -149,7 +147,6 @@ class BatchTrial:
             vectorize=vectorize,
             campaign=self.campaign,
             neighbor_backend=neighbor_backend,
-            kernel_backend=kernel_backend,
         )
 
     @property
@@ -221,8 +218,7 @@ class BatchResult:
         -- padded vs executed row steps with min/max depth (depth axis),
         padded vs executed lane steps with min/max width (width axis),
         the ``axes`` list naming which compactions were live, the
-        resolved ``neighbor_backend`` (``"dense"``/``"csr"``), the
-        resolved ``kernel_backend`` (``"numpy"``/``"numba"``), and the
+        resolved ``neighbor_backend`` (``"dense"``/``"csr"``), and the
         batched-fallback accounting (``fallback_cells`` /
         ``fallback_batches``: kernel-rejected cells resolved by the
         masked replay of
@@ -617,7 +613,6 @@ def _run_shard(
     num_pulses: int,
     vectorize: bool,
     neighbor_backend: str,
-    kernel_backend: str,
     store_times: bool,
     potential_levels: Tuple[int, ...],
 ) -> Tuple[List[FastResult], List[List[int]], List[Dict], Dict[int, str]]:
@@ -634,7 +629,6 @@ def _run_shard(
         num_pulses=num_pulses,
         vectorize=vectorize,
         neighbor_backend=neighbor_backend,
-        kernel_backend=kernel_backend,
         store_times=store_times,
         potential_levels=potential_levels,
     )
@@ -680,14 +674,6 @@ class BatchRunner:
         ``"csr"`` on a padded mixed-geometry group runs those trials
         per-trial with CSR instead (recorded in ``fallback_reasons``) --
         the stacked CSR kernel needs one shared adjacency.
-    kernel_backend:
-        Array-op implementation behind the layer-step kernels:
-        ``"auto"`` (default; numba when the optional extra is installed,
-        NumPy otherwise), ``"numpy"``, or ``"numba"`` (raises a clear
-        error when numba is absent).  Backends are bitwise identical --
-        purely a speed knob; the resolved name is recorded per stack
-        group in ``compaction_stats["kernel_backend"]``.  See
-        :mod:`repro.core.backend`.
     executor:
         ``"serial"`` (default) or ``"process"``.  The process executor
         shards the trial list across worker processes -- worthwhile for
@@ -714,7 +700,6 @@ class BatchRunner:
         num_pulses: int = 4,
         vectorize: bool = True,
         neighbor_backend: str = "auto",
-        kernel_backend: str = "auto",
         executor: str = "serial",
         shards: Optional[int] = None,
         store_times: bool = True,
@@ -733,15 +718,9 @@ class BatchRunner:
                 f"unknown neighbor_backend {neighbor_backend!r}; "
                 f"use one of {NEIGHBOR_BACKENDS}"
             )
-        if kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"unknown kernel_backend {kernel_backend!r}; "
-                f"use one of {KERNEL_BACKENDS}"
-            )
         self.num_pulses = num_pulses
         self.vectorize = vectorize
         self.neighbor_backend = neighbor_backend
-        self.kernel_backend = kernel_backend
         self.executor = executor
         self.shards = shards
         self.store_times = store_times
@@ -824,7 +803,6 @@ class BatchRunner:
                 trial.simulation(
                     vectorize=self.vectorize,
                     neighbor_backend=self.neighbor_backend,
-                    kernel_backend=self.kernel_backend,
                 ).run(
                     self.num_pulses,
                     reducers=self._reducers(),
@@ -846,7 +824,6 @@ class BatchRunner:
                 trials[i].simulation(
                     vectorize=True,
                     neighbor_backend=self.neighbor_backend,
-                    kernel_backend=self.kernel_backend,
                 )
                 for i in indices
             ]
@@ -872,11 +849,7 @@ class BatchRunner:
                     reasons[i] = reason
                 continue
             stack_groups.append(list(indices))
-            stack = TrialStack(
-                sims,
-                neighbor_backend=self.neighbor_backend,
-                kernel_backend=self.kernel_backend,
-            )
+            stack = TrialStack(sims, neighbor_backend=self.neighbor_backend)
             stacked = stack.run(
                 self.num_pulses,
                 reducers=self._reducers(),
@@ -913,7 +886,6 @@ class BatchRunner:
             self.num_pulses,
             self.vectorize,
             self.neighbor_backend,
-            self.kernel_backend,
             self.store_times,
             self.potential_levels,
         )

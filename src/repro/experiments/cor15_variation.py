@@ -162,8 +162,6 @@ def run_cor15(
     envelope_factor: float = 1.5,
     executor: str = "serial",
     shards: Optional[int] = None,
-    neighbor_backend: str = "auto",
-    kernel_backend: str = "auto",
     store_times: bool = False,
 ) -> Cor15Result:
     """Run with per-pulse delay/rate drift and a mutating fault.
@@ -189,8 +187,6 @@ def run_cor15(
         num_pulses=num_pulses,
         executor=executor,
         shards=shards,
-        neighbor_backend=neighbor_backend,
-        kernel_backend=kernel_backend,
         store_times=store_times,
     ).run([trial])
     return Cor15Result(

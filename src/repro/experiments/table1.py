@@ -164,8 +164,6 @@ def run_table1(
     hex_crash: bool = True,
     executor: str = "serial",
     shards: Optional[int] = None,
-    neighbor_backend: str = "auto",
-    kernel_backend: str = "auto",
     store_times: bool = False,
 ) -> Table1Result:
     """Measure the Table 1 comparison over a diameter sweep.
@@ -196,8 +194,6 @@ def run_table1(
         num_pulses=num_pulses,
         executor=executor,
         shards=shards,
-        neighbor_backend=neighbor_backend,
-        kernel_backend=kernel_backend,
         store_times=store_times,
     )
     all_configs = {

@@ -81,8 +81,6 @@ def run_thm11(
     num_pulses: int = 4,
     executor: str = "serial",
     shards: Optional[int] = None,
-    neighbor_backend: str = "auto",
-    kernel_backend: str = "auto",
     store_times: bool = False,
 ) -> Thm11Result:
     """Measure the fault-free local skew sweep.
@@ -119,8 +117,6 @@ def run_thm11(
         num_pulses=num_pulses,
         executor=executor,
         shards=shards,
-        neighbor_backend=neighbor_backend,
-        kernel_backend=kernel_backend,
         store_times=store_times,
     )
     trials = []

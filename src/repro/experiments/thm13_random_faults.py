@@ -164,8 +164,6 @@ def run_thm13(
     seeds: Sequence[int] | None = None,
     executor: str = "serial",
     shards: Optional[int] = None,
-    neighbor_backend: str = "auto",
-    kernel_backend: str = "auto",
     store_times: bool = False,
 ) -> Thm13Result:
     """Sample random fault plans and measure the skew distribution.
@@ -209,8 +207,6 @@ def run_thm13(
         num_pulses=num_pulses,
         executor=executor,
         shards=shards,
-        neighbor_backend=neighbor_backend,
-        kernel_backend=kernel_backend,
         store_times=store_times,
     ).run(batch_trials)
     skews = batch.max_local_skews()

@@ -42,22 +42,19 @@ def distance_delta_k_faulty(
     plan: "FaultPlan",
     node: NodeId,
     delta: int,
-    max_k: int = 16,
 ) -> int:
     """Return the minimal ``k`` with at most ``k`` faults among the
     distance-``(k+1)*delta`` ancestors of ``node`` (Definition 4.33).
 
-    Raises :class:`RuntimeError` if no ``k <= max_k`` qualifies (cannot
-    happen unless the plan is much denser than the model allows).
+    The minimum always exists and is at most ``len(plan)``: no ancestor
+    set holds more faults than the plan has, so the search ends there.
     """
     if delta < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
-    for k in range(max_k + 1):
-        if _count_faulty_ancestors(graph, plan, node, (k + 1) * delta) <= k:
-            return k
-    raise RuntimeError(
-        f"node {node} is not distance-{delta} k-faulty for any k <= {max_k}"
-    )
+    k = 0
+    while _count_faulty_ancestors(graph, plan, node, (k + 1) * delta) > k:
+        k += 1
+    return k
 
 
 def max_k_faulty_over_layer(
@@ -65,10 +62,9 @@ def max_k_faulty_over_layer(
     plan: "FaultPlan",
     layer: int,
     delta: int,
-    max_k: int = 16,
 ) -> int:
     """Maximum ``k`` over all nodes of ``layer`` (audit for Observation 4.34)."""
     return max(
-        distance_delta_k_faulty(graph, plan, (v, layer), delta, max_k)
+        distance_delta_k_faulty(graph, plan, (v, layer), delta)
         for v in graph.base.nodes()
     )

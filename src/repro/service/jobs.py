@@ -225,7 +225,10 @@ class Job:
     ) -> None:
         self.id = job_id
         self.spec = spec
+        # Released on reaching a terminal state (see :meth:`finish`), so
+        # finished jobs hold no trial objects; ``num_trials`` stays.
         self.trials = list(trials)
+        self.num_trials = len(self.trials)
         self.num_pulses = num_pulses
         self.runner_kwargs = dict(runner_kwargs)
         self.key = key
@@ -246,6 +249,13 @@ class Job:
                 {"seq": len(self.events), "ts": time.time(), **event}
             )
             self._cond.notify_all()
+
+    def finish(self, status: str, event: Dict) -> None:
+        """Enter the terminal ``status``, release the trials, emit ``event``."""
+        self.trials = []
+        self.status = status
+        self.finished = time.time()
+        self.emit(event)
 
     @property
     def done(self) -> bool:
@@ -286,7 +296,7 @@ class Job:
             "cache_hit": self.cache_hit,
             "error": self.error,
             "key": self.key,
-            "num_trials": len(self.trials),
+            "num_trials": self.num_trials,
             "num_pulses": self.num_pulses,
             "created": self.created,
             "started": self.started,
@@ -481,7 +491,7 @@ class JobRunner:
         """Run one job to completion (executor-thread context)."""
         job.status = "running"
         job.started = time.time()
-        job.emit({"event": "started", "num_trials": len(job.trials)})
+        job.emit({"event": "started", "num_trials": job.num_trials})
         try:
             payload = None
             if job.key is not None:
@@ -508,13 +518,9 @@ class JobRunner:
                 if job.key is not None:
                     self.store.put(job.key, payload)
             job._payload = payload
-            job.status = "done"
-            job.finished = time.time()
-            job.emit({"event": "done", "cache_hit": job.cache_hit})
+            job.finish("done", {"event": "done", "cache_hit": job.cache_hit})
         except Exception as exc:
             job.error = "".join(
                 traceback.format_exception_only(type(exc), exc)
             ).strip()
-            job.status = "failed"
-            job.finished = time.time()
-            job.emit({"event": "failed", "error": job.error})
+            job.finish("failed", {"event": "failed", "error": job.error})

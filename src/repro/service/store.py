@@ -13,10 +13,10 @@ Deliberately *excluded* from the key: ``executor`` and ``shards``.  The
 test suite pins that results are bitwise identical for every sharding,
 so a grid first run serially and resubmitted with
 ``executor="process"`` is still a hit.  Included even though they are
-also bitwise-invariant: ``kernel_backend`` / ``neighbor_backend`` /
-``vectorize`` -- the conservative reading of the cache contract (a
-backend bug should never be masked by a cache hit recorded under another
-backend).
+also bitwise-invariant: ``neighbor_backend`` / ``vectorize`` -- the
+conservative reading of the cache contract (a dense/CSR or kernel/replay
+bug should never be masked by a cache hit recorded under the other
+path).
 
 Values round-trip through :mod:`pickle`: ``put`` stores the pickled
 bytes (and optionally a ``<key>.pkl`` file when the store is given a
@@ -41,7 +41,7 @@ __all__ = ["CACHE_VERSION", "ResultStore", "grid_key", "trial_cell_key"]
 
 #: Bumped whenever the key layout or payload schema changes, so stores
 #: persisted to disk never serve a stale schema.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 #: The :class:`~repro.experiments.batch.BatchRunner` knobs that enter the
 #: grid key, with their defaults.  ``executor``/``shards`` are absent by
@@ -49,7 +49,6 @@ CACHE_VERSION = 2
 KEYED_RUNNER_KNOBS: Dict[str, object] = {
     "vectorize": True,
     "neighbor_backend": "auto",
-    "kernel_backend": "auto",
     "store_times": True,
     "potential_levels": (),
 }

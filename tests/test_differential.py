@@ -55,7 +55,6 @@ from repro.analysis.skew import (
 )
 from repro.analysis.streaming import default_reducers, fold_correction_planes
 from repro.clocks import uniform_random_rates
-from repro.core.backend import numba_available
 from repro.core.fast import FastSimulation
 from repro.core.fast_batch import TrialStack, stack_compatibility
 from repro.core.layer0 import (
@@ -634,95 +633,6 @@ class TestSparseBackendDifferential:
         stats = csr_stack.compaction_stats
         assert stats["neighbor_backend"] == "csr", stats
         assert stats["backend_fallback"] is None, stats
-
-
-class TestKernelBackendDifferential:
-    """The numba kernel backend against NumPy, bitwise.
-
-    Both backends evaluate ``rate * (prev + delay)`` per neighbor and
-    reduce with exact comparisons, so agreement is bitwise on every leg
-    (dense, CSR, stacked, campaign, streamed).  The whole class skips
-    when the optional numba extra is absent -- CI's numba job installs
-    it and runs these legs against the real JIT.
-    """
-
-    pytestmark = pytest.mark.skipif(
-        not numba_available(), reason="optional numba extra not installed"
-    )
-
-    def _sim(self, scenario, kernel_backend, **kwargs):
-        return FastSimulation(
-            scenario["graph"],
-            scenario["params"],
-            delay_model=scenario["delay_model"],
-            clock_rates=scenario["rates"],
-            fault_plan=scenario["fault_plan"],
-            layer0=scenario["layer0"],
-            kernel_backend=kernel_backend,
-            **kwargs,
-        )
-
-    @FAMILY_SETTINGS
-    @given(data=st.data())
-    def test_numba_matches_numpy_bitwise(self, data):
-        algorithm = data.draw(st.sampled_from(["full", "simplified"]))
-        scenario = data.draw(scenarios())
-
-        want = self._sim(
-            scenario, "numpy", algorithm=algorithm
-        ).run(NUM_PULSES)
-        got = self._sim(
-            scenario, "numba", algorithm=algorithm
-        ).run(NUM_PULSES)
-        assert_results_equal(got, want, exact=True, label="numba dense")
-
-        got_csr = self._sim(
-            scenario, "numba", algorithm=algorithm, neighbor_backend="csr"
-        ).run(NUM_PULSES)
-        assert_results_equal(got_csr, want, exact=True, label="numba csr")
-
-        stack = TrialStack(
-            [self._sim(scenario, "numba", algorithm=algorithm) for _ in range(2)],
-            kernel_backend="numba",
-        )
-        stacked = stack.run(NUM_PULSES)[0]
-        assert stack.compaction_stats["kernel_backend"] == "numba"
-        assert_results_equal(
-            stacked, want, exact=True, label="numba stacked"
-        )
-
-        streamed = self._sim(scenario, "numba", algorithm=algorithm).run(
-            NUM_PULSES, reducers=_stream_reducers(), store_times=False
-        )
-        assert_streamed_matches_materialized(
-            streamed, want, scenario, label="numba streamed"
-        )
-
-    @FAMILY_SETTINGS
-    @given(data=st.data())
-    def test_numba_matches_numpy_under_campaigns(self, data):
-        scenario = data.draw(scenarios())
-        campaign = data.draw(
-            campaigns(
-                scenario["graph"].base, scenario["graph"].num_layers
-            )
-        )
-
-        def sim(kernel_backend):
-            return FastSimulation(
-                scenario["graph"],
-                scenario["params"],
-                delay_model=scenario["delay_model"],
-                clock_rates=scenario["rates"],
-                fault_plan=scenario["fault_plan"],
-                layer0=scenario["layer0"],
-                campaign=campaign,
-                kernel_backend=kernel_backend,
-            )
-
-        want = sim("numpy").run(CAMPAIGN_PULSES)
-        got = sim("numba").run(CAMPAIGN_PULSES)
-        assert_results_equal(got, want, exact=True, label="numba campaign")
 
 
 class TestBatchedFallbackDifferential:

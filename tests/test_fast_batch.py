@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 
 from repro.core.correction import CorrectionPolicy
-from repro.core.fast import BRANCH_CODES
+from repro.core.fast import (
+    BRANCH_CODES,
+    FastSimulation,
+    _neighbor_min_max,
+    _segment_min_max,
+)
 from repro.core.fast_batch import TrialStack, stack_compatibility
 from repro.delays.models import VaryingDelayModel
 from repro.experiments.batch import (
@@ -320,3 +325,235 @@ class TestTrialPickling:
         )
         clone = pickle.loads(pickle.dumps(trial))
         assert clone.clock_rates is None
+
+
+def _faulted_trials(n=4, seed0=0):
+    trials = []
+    for s in range(n):
+        config = standard_config(6, seed=seed0 + s)
+        plan = FaultPlan.random(config.graph, 0.10, rng_or_seed=seed0 + s)
+        trials.append(BatchTrial(config=config, fault_plan=plan))
+    return trials
+
+
+# ----------------------------------------------------------------------
+# Neighbor reductions of the layer-step kernels
+# ----------------------------------------------------------------------
+class TestNeighborReductions:
+    def test_masked_reductions_ignore_invalid_lanes(self):
+        # Identity gather, zero delay, unit rate: the reduction sees the
+        # lane values themselves.
+        vals = np.array([1.0, -5.0, 3.0, 2.0, 7.0, 0.5])
+        nb_idx = np.arange(6).reshape(2, 3)
+        valid = np.array([[True, False, True], [True, True, False]])
+        h_min, h_max = _neighbor_min_max(
+            vals, nb_idx, valid, np.zeros((2, 3)), np.ones(2)
+        )
+        np.testing.assert_array_equal(h_min, [1.0, 2.0])
+        np.testing.assert_array_equal(h_max, [3.0, 7.0])
+
+    def test_neighbor_min_max_matches_inline_expression(self):
+        rng = np.random.default_rng(0)
+        width, deg = 7, 3
+        prev = rng.normal(size=width)
+        nb_idx = rng.integers(0, width, size=(width, deg))
+        nb_valid = rng.random(size=(width, deg)) < 0.7
+        nb_delay = rng.random(size=(width, deg))
+        rate = 1.0 + 0.01 * rng.random(size=width)
+        h_nb = rate[:, None] * (prev[nb_idx] + nb_delay)
+        want_min = np.where(nb_valid, h_nb, np.inf).min(axis=-1)
+        want_max = np.where(nb_valid, h_nb, -np.inf).max(axis=-1)
+        got_min, got_max = _neighbor_min_max(
+            prev, nb_idx, nb_valid, nb_delay, rate
+        )
+        np.testing.assert_array_equal(got_min, want_min)
+        np.testing.assert_array_equal(got_max, want_max)
+
+    def test_per_trial_index_rows_gather_their_own_plane(self):
+        # A 3-D index table (S, W, max_deg): row s reads only prev[s].
+        rng = np.random.default_rng(1)
+        trials, width, deg = 3, 5, 2
+        prev = rng.normal(size=(trials, width))
+        nb_idx = rng.integers(0, width, size=(trials, width, deg))
+        nb_valid = rng.random(size=(trials, width, deg)) < 0.8
+        nb_delay = rng.random(size=(trials, width, deg))
+        rate = 1.0 + 0.01 * rng.random(size=(trials, width))
+        got_min, got_max = _neighbor_min_max(
+            prev, nb_idx, nb_valid, nb_delay, rate
+        )
+        for s in range(trials):
+            want_min, want_max = _neighbor_min_max(
+                prev[s], nb_idx[s], nb_valid[s], nb_delay[s], rate[s]
+            )
+            np.testing.assert_array_equal(got_min[s], want_min)
+            np.testing.assert_array_equal(got_max[s], want_max)
+
+    def test_neighbor_min_max_propagates_nan(self):
+        prev = np.array([np.nan, 1.0, 2.0])
+        nb_idx = np.array([[1], [0], [1]])
+        nb_valid = np.ones((3, 1), dtype=bool)
+        nb_delay = np.zeros((3, 1))
+        rate = np.ones(3)
+        h_min, h_max = _neighbor_min_max(
+            prev, nb_idx, nb_valid, nb_delay, rate
+        )
+        assert np.isnan(h_min[1]) and np.isnan(h_max[1])
+        assert h_min[0] == 1.0 and h_max[2] == 1.0
+
+    def test_segment_min_max_matches_inline_expression(self):
+        base = standard_config(6).graph.base
+        indptr, indices, _ = base.neighbor_csr()
+        width = base.num_nodes
+        owner = np.repeat(np.arange(width), np.diff(indptr))
+        rng = np.random.default_rng(2)
+        prev = rng.normal(size=(2, width))
+        nb_delay = rng.random(size=(2, indices.shape[0]))
+        rate = 1.0 + 0.01 * rng.random(size=(2, width))
+        h_nb = rate[..., owner] * (prev[..., indices] + nb_delay)
+        want_min = np.minimum.reduceat(h_nb, indptr[:-1], axis=-1)
+        want_max = np.maximum.reduceat(h_nb, indptr[:-1], axis=-1)
+        got_min, got_max = _segment_min_max(
+            prev, indices, indptr, nb_delay, rate, owner,
+            np.diff(indptr) > 0,
+        )
+        np.testing.assert_array_equal(got_min, want_min)
+        np.testing.assert_array_equal(got_max, want_max)
+
+    def test_segment_min_max_fills_empty_segments(self):
+        # Vertex 1 has no neighbors (campaign epoch shape): the dense
+        # identities must appear explicitly -- reduceat has no empty
+        # reduction.
+        prev = np.array([3.0, 5.0, 7.0])
+        indices = np.array([2, 0], dtype=np.int64)  # v0 -> {2}, v2 -> {0}
+        indptr = np.array([0, 1, 1, 2], dtype=np.int64)
+        nb_delay = np.array([0.5, 0.25])
+        rate = np.ones(3)
+        owner = np.array([0, 2], dtype=np.int64)
+        has_neighbors = np.array([True, False, True])
+        h_min, h_max = _segment_min_max(
+            prev, indices, indptr, nb_delay, rate, owner, has_neighbors
+        )
+        np.testing.assert_array_equal(h_min, [7.5, np.inf, 3.25])
+        np.testing.assert_array_equal(h_max, [7.5, -np.inf, 3.25])
+
+
+# ----------------------------------------------------------------------
+# Batched fallback accounting
+# ----------------------------------------------------------------------
+class TestFallbackAccounting:
+    def test_faulted_stack_counts_cells_and_batches(self):
+        runner = BatchRunner(num_pulses=NUM_PULSES)
+        batch = runner.run(_faulted_trials())
+        assert len(batch.compaction_stats) == 1
+        stats = batch.compaction_stats[0]
+        assert stats["kernel_backend"] == "numpy"
+        # Random 10% fault plans guarantee fault-adjacent cells; each is
+        # resolved by a batched replay, never a per-cell Python loop.
+        assert stats["fallback_cells"] > 0
+        assert stats["fallback_batches"] > 0
+        assert stats["fallback_cells"] >= stats["fallback_batches"]
+        # Per-cell scalar replays used to ride outside any accounting;
+        # fallback_reasons stays reserved for whole-trial stack refusals.
+        assert batch.fallback_reasons == {}
+
+    def test_fault_free_stack_has_no_fallback(self):
+        trials = [
+            BatchTrial(config=standard_config(6, seed=s)) for s in range(3)
+        ]
+        batch = BatchRunner(num_pulses=NUM_PULSES).run(trials)
+        stats = batch.compaction_stats[0]
+        assert stats["fallback_cells"] == 0
+        assert stats["fallback_batches"] == 0
+
+    def test_single_simulation_accounts_fallback(self):
+        config = standard_config(6, seed=1)
+        plan = FaultPlan.random(config.graph, 0.10, rng_or_seed=1)
+        sim = FastSimulation(
+            config.graph,
+            config.params,
+            delay_model=config.delay_model,
+            clock_rates=config.clock_rates,
+            fault_plan=plan,
+        )
+        result = sim.run(NUM_PULSES)
+        assert result.fallback_cells > 0
+        assert result.fallback_batches > 0
+
+
+# ----------------------------------------------------------------------
+# Cache safety (frozen shared graph tensors)
+# ----------------------------------------------------------------------
+class TestFrozenGraphCaches:
+    def test_cached_neighbor_tensors_are_frozen_and_stable(self):
+        base = standard_config(6).graph.base
+        idx, valid = base.neighbor_index_arrays()
+        left, right = base.edge_index_arrays()
+        for arr in (idx, valid, left, right):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        # Revisits hand back the same objects -- one cache per graph,
+        # shared across trials, stacks, and campaign epochs.
+        idx2, valid2 = base.neighbor_index_arrays()
+        assert idx2 is idx and valid2 is valid
+        left2, right2 = base.edge_index_arrays()
+        assert left2 is left and right2 is right
+
+    def test_campaign_epoch_revisit_reuses_identical_tensors(self):
+        """A revisited epoch state must see bit-identical adjacency.
+
+        The chaos-campaign layer caches epoch graphs by state key; if a
+        consumer mutated the shared cached tensors in between, the
+        revisit would silently simulate a different topology.
+        """
+        from repro.faults.campaign import ChaosCampaign, EdgeFlap
+
+        config = standard_config(6, seed=0)
+        base = config.graph.base
+        edge = base.edges[0]
+        campaign = ChaosCampaign(
+            base,
+            config.graph.num_layers,
+            # Down-up-down-up: pulses 1 and 3 revisit the degraded
+            # state, pulses 0/2/4+ the seed state.
+            [EdgeFlap(pulse=1, edge=edge), EdgeFlap(pulse=3, edge=edge)],
+        )
+        schedule = campaign.compile(num_pulses=6)
+        by_state = {}
+        for epoch in schedule.epochs:
+            snap = epoch.graph.base.neighbor_index_arrays()
+            prior = by_state.setdefault(epoch.state_key, snap)
+            assert prior[0] is snap[0] and prior[1] is snap[1]
+            np.testing.assert_array_equal(prior[0], snap[0])
+            np.testing.assert_array_equal(prior[1], snap[1])
+        assert len(by_state) >= 2
+
+
+# ----------------------------------------------------------------------
+# All-NaN reductions stay warning-clean (RuntimeWarning is an error
+# repo-wide via pyproject's filterwarnings)
+# ----------------------------------------------------------------------
+class TestWarningHygiene:
+    def test_all_vertices_leave_campaign_is_warning_clean(self):
+        """Every vertex absent for a window: skew reducers see all-NaN
+        planes and must mask them rather than warn (RuntimeWarning is
+        promoted to an error suite-wide)."""
+        from repro.experiments.thm16_selfstab import run_thm16
+        from repro.faults.campaign import ChaosCampaign, NodeJoin, NodeLeave
+
+        config = standard_config(4, seed=0)
+        base = config.graph.base
+        events = []
+        for v in range(base.num_nodes):
+            events.append(NodeLeave(pulse=1, vertex=v))
+            events.append(NodeJoin(pulse=3, vertex=v))
+        campaign = ChaosCampaign(base, config.graph.num_layers, events)
+        result = run_thm16(
+            diameter=4,
+            num_trials=1,
+            seed=0,
+            campaign=campaign,
+            churn_pulses=4,
+            num_pulses=8,
+        )
+        assert result.skew_series.shape == (1, 8)

@@ -262,3 +262,12 @@ class TestLocality:
         graph = LayeredGraph(cycle_graph(8), 8)
         with pytest.raises(ValueError):
             distance_delta_k_faulty(graph, FaultPlan.none(), (0, 1), delta=0)
+
+    def test_dense_plan_has_a_minimal_k_beyond_sixteen(self):
+        # Definition 4.33's minimal k is bounded only by the fault count:
+        # this thm13 plan (20 faults) needs k = 17 at delta 2.
+        from repro.experiments.thm13_random_faults import thm13_trials
+
+        trials, k_faulties = thm13_trials(32, [108])
+        assert k_faulties == [17]
+        assert trials[1].num_faults == 20

@@ -131,13 +131,13 @@ class TestGridKey:
     def test_backend_knobs_are_included(self):
         trials = build_trials(SMALL_GRID)
         assert grid_key(trials, NUM_PULSES) != grid_key(
-            trials, NUM_PULSES, {"kernel_backend": "numpy"}
+            trials, NUM_PULSES, {"neighbor_backend": "dense"}
         )
 
     def test_explicit_default_hashes_like_omitted(self):
         trials = build_trials(SMALL_GRID)
         assert grid_key(trials, NUM_PULSES) == grid_key(
-            trials, NUM_PULSES, {"kernel_backend": "auto"}
+            trials, NUM_PULSES, {"neighbor_backend": "auto"}
         )
 
     def test_key_unchanged_by_running_the_trials(self):
@@ -352,7 +352,7 @@ class TestJobRunner:
             runner.submit({"grid": {"kind": "thm99"}})
         with pytest.raises(ValueError, match="grid spec"):
             runner.submit({"grid": None})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'kernel_backend'"):
             runner.submit(
                 {"grid": SMALL_GRID, "runner": {"kernel_backend": "cuda"}}
             )
@@ -378,10 +378,21 @@ class TestJobRunner:
         assert job.status == "failed"
         assert "clock exploded" in job.error
         assert job.events[-1]["event"] == "failed"
+        assert job.trials == []
         # The runner survives and serves the next job.
         ok = runner.submit({"grid": SMALL_GRID, "num_pulses": NUM_PULSES})
         runner.wait(ok.id, timeout=120)
         assert ok.status == "done"
+
+    def test_finished_job_releases_its_trials(self, runner):
+        num_trials = len(build_trials(SMALL_GRID))
+        job = runner.submit({"grid": SMALL_GRID, "num_pulses": NUM_PULSES})
+        runner.wait(job.id, timeout=120)
+        assert job.status == "done"
+        assert job.trials == []
+        assert job.describe()["num_trials"] == num_trials
+        started = [e for e in job.events if e["event"] == "started"]
+        assert started[0]["num_trials"] == num_trials
 
     def test_worker_death_through_the_service(self):
         runner = JobRunner(
@@ -530,7 +541,7 @@ class TestServiceHTTP:
     @pytest.mark.parametrize(
         "knob",
         ["stack", "stack_mixed_geometry", "compact_depth", "compact_width",
-         "sketch_rank"],
+         "sketch_rank", "kernel_backend"],
     )
     def test_retired_runner_knob_is_a_400_naming_it(self, client, knob):
         with pytest.raises(RuntimeError, match=f"HTTP 400.*'{knob}'"):
