@@ -5,8 +5,9 @@
 * :mod:`repro.analysis.potentials` -- the potential functions of
   Definition 4.1 (``psi``, ``Psi``, ``xi``, ``Xi``).
 * :mod:`repro.analysis.streaming` -- online (streaming) counterparts of
-  the skew/potential reducers, for ``store_times=False`` sweeps that
-  never materialize the pulse-time block.
+  the skew/potential reducers; every ``BatchResult`` statistic comes
+  from them, and ``store_times=False`` sweeps never materialize the
+  pulse-time block.
 * :mod:`repro.analysis.stats` -- regression helpers (log/linear/power fits)
   used to check growth *shapes* against the paper's bounds.
 * :mod:`repro.analysis.report` -- ASCII tables for benchmark output.

@@ -85,9 +85,9 @@ def masked_max(
 
     Warning-free by construction: NaNs are replaced with ``-inf`` under an
     explicit validity mask instead of suppressing ``nanmax`` warnings.
-    Public because NaN-padded consumers outside this module (the batch
-    runner's heterogeneous :class:`~repro.experiments.batch.BatchResult`
-    statistics) reduce over padding with the same semantics.
+    Public because NaN-padded consumers outside this module (the
+    per-trial maxima of :class:`~repro.experiments.batch.BatchResult`)
+    reduce over padding with the same semantics.
     """
     values = np.asarray(values, dtype=float)
     valid = ~np.isnan(values)

@@ -8,8 +8,10 @@ could run afterwards -- stacked, an ``(S, K, L_max, W_max)`` array that
 caps sweep size long before the kernel does.  This module is the
 incremental counterpart (the incremental-POD template of Fareed &
 Singler): a :class:`StreamingReducer` consumes each plane *as the kernel
-writes it* and folds it into O(S, L) accumulators, so a sweep with
-``store_times=False`` never allocates the pulse-time block at all.
+writes it* and folds it into O(S, L) accumulators.  Every
+:class:`~repro.experiments.batch.BatchResult` statistic is served from
+these folds, and a sweep with ``store_times=False`` never allocates the
+pulse-time block at all.
 
 Design constraints, all load-bearing:
 

@@ -18,12 +18,13 @@ module sweeps many trials in one call instead:
   :meth:`FastSimulation.run <repro.core.fast.FastSimulation.run>`, with
   the reason recorded per trial in :attr:`BatchResult.fallback_reasons`
   (no silent slow paths), and
-* the per-trial results are stacked along a leading *trial axis* --
-  ``times`` of shape ``(S, K, L_max, W_max)``, NaN-padded when grids
-  differ -- so skew and correction statistics for the whole sweep reduce
-  in array sweeps through the entry points of :mod:`repro.analysis.skew`
-  (one sweep per distinct geometry; padding cells are NaN and therefore
-  invisible to every reducer).
+* every run folds its skew and correction statistics online, one layer
+  plane at a time, through the reducers of
+  :mod:`repro.analysis.streaming`; :class:`BatchResult` serves every
+  statistic from those folds.  With ``store_times=True`` (the default)
+  the per-trial pulse times are also kept, stacked along a leading
+  *trial axis* -- ``times`` of shape ``(S, K, L_max, W_max)``, NaN-padded
+  when grids differ -- for drill-in.
 
 For fault-heavy sweeps whose cells mostly replay the scalar path,
 ``BatchRunner(executor="process", shards=N)`` splits the trial list into
@@ -73,14 +74,8 @@ from repro.delays.models import DelayModel
 from repro.experiments.common import ExperimentConfig, standard_config
 from repro.faults.campaign import ChaosCampaign
 from repro.faults.injection import FaultPlan
-from repro.analysis.skew import (
-    global_skew_layers,
-    inter_layer_skew_layers,
-    local_skew_layers,
-    masked_max,
-    overall_skew_layers,
-)
-from repro.analysis.streaming import default_reducers, fold_correction_planes
+from repro.analysis.skew import masked_max
+from repro.analysis.streaming import default_reducers
 
 __all__ = ["BatchTrial", "BatchResult", "BatchRunner", "CONFIG_RATES"]
 
@@ -158,6 +153,16 @@ class BatchTrial:
 def _rows_max(values: np.ndarray, empty: float = 0.0) -> np.ndarray:
     """Last-axis max ignoring NaN padding; all-NaN/empty rows -> ``empty``."""
     return masked_max(values, axis=-1, empty=empty)
+
+
+def _padded_masks(
+    results: Sequence[FastResult], num_layers: int, width: int
+) -> np.ndarray:
+    """Per-trial faulty masks stacked into a False-padded ``(S, L, W)``."""
+    masks = np.zeros((len(results), num_layers, width), dtype=bool)
+    for s, r in enumerate(results):
+        masks[s, : r.graph.num_layers, : r.graph.width] = r.faulty_mask
+    return masks
 
 
 #: Progress hook: called with one dict per executor event (see
@@ -248,20 +253,27 @@ class BatchResult:
 
     Notes
     -----
+    Every skew, potential, and correction accessor serves from the
+    per-result online folds (``result.streamed``), which the
+    :mod:`repro.analysis.streaming` tests pin bitwise to the array
+    reducers of :mod:`repro.analysis.skew` over the pulse-time block.
+    Results that carry no folds (a plain ``FastSimulation.run``) still
+    assemble into a batch, but its accessors raise a ``ValueError``
+    naming the missing reducer.
+
     When the whole batch ran as **one** stack, the matrices above *are*
     the stack's shared block (no re-copy; ``np.shares_memory`` with every
     per-trial result) and are frozen read-only, as are the per-trial
     result windows -- so no consumer can corrupt another's view of the
     shared memory.  Multi-group and per-trial batches materialize fresh
-    (writable) stacked copies as before.
+    (writable) stacked copies.
 
     When the runner *streamed* (``store_times=False``), ``times``,
     ``corrections``, and ``effective_corrections`` are ``None`` and
     :attr:`streaming` is True: the ``(S, K, L, W)`` block was never
-    allocated, and every skew/correction accessor serves from the
-    per-result streamed accumulators instead -- bit-identical to the
-    materialized reductions.  ``faulty_masks`` is always materialized
-    (it is ``O(S, L, W)``, the streaming memory budget).
+    allocated.  The statistics are the same folds either way.
+    ``faulty_masks`` is always materialized (it is ``O(S, L, W)``, the
+    streaming memory budget).
     """
 
     def __init__(
@@ -287,21 +299,16 @@ class BatchResult:
             if getattr(r, "churn_stats", None) is not None
         }
 
-        # Geometry (not array shape) decides whether skews must reduce per
-        # group: a cycle-9 and a complete-9 trial share (K, L, 9) matrices
-        # but not an edge set, so reducing both along trial 0's edges would
-        # silently mis-measure.  Equal shapes still stack without padding.
-        geometries = {
-            (r.graph.num_layers, r.graph.base.adjacency) for r in results
-        }
-        self.heterogeneous = len(geometries) > 1
         self.streaming = any(r.times is None for r in results)
+        if self.streaming and not all(r.times is None for r in results):
+            raise ValueError(
+                "cannot mix streamed (store_times=False) and "
+                "materialized results in one batch"
+            )
+        self._num_layers = max(r.graph.num_layers for r in results)
+        width = max(r.graph.width for r in results)
+        block = getattr(results[0], "stack_block", None)
         if self.streaming:
-            if not all(r.times is None for r in results):
-                raise ValueError(
-                    "cannot mix streamed (store_times=False) and "
-                    "materialized results in one batch"
-                )
             missing = [s for s, r in enumerate(results) if r.streamed is None]
             if missing:
                 raise ValueError(
@@ -309,21 +316,11 @@ class BatchResult:
                     "streamed reducers; run them with reducers or "
                     "store_times=True"
                 )
-            num_layers = max(r.graph.num_layers for r in results)
-            width = max(r.graph.width for r in results)
-            self._stream_layers = num_layers
             self.times = None
             self.corrections = None
             self.effective_corrections = None
-            self.faulty_masks = np.zeros(
-                (len(results), num_layers, width), dtype=bool
-            )
-            for s, r in enumerate(results):
-                depth, w = r.graph.num_layers, r.graph.width
-                self.faulty_masks[s, :depth, :w] = r.faulty_mask
-            return
-        block = getattr(results[0], "stack_block", None)
-        if (
+            self.faulty_masks = _padded_masks(results, self._num_layers, width)
+        elif (
             block is not None
             and block.times.shape[0] == len(results)
             and all(
@@ -333,8 +330,7 @@ class BatchResult:
         ):
             # Single-stack batch: the TrialStack already materialized the
             # padded (S, K, L_max, W_max) block these results window into;
-            # adopt it instead of re-copying (the ROADMAP's known
-            # double-materialization).  The block arrives frozen.
+            # adopt it instead of re-copying.  The block arrives frozen.
             self.times = block.times
             self.corrections = block.corrections
             self.effective_corrections = block.effective_corrections
@@ -347,15 +343,10 @@ class BatchResult:
             )
             self.faulty_masks = np.stack([r.faulty_mask for r in results])
         else:
-            num_layers = max(r.graph.num_layers for r in results)
-            width = max(r.graph.width for r in results)
-            shape = (len(results), self.num_pulses, num_layers, width)
+            shape = (len(results), self.num_pulses, self._num_layers, width)
             self.times = np.full(shape, np.nan)
             self.corrections = np.full(shape, np.nan)
             self.effective_corrections = np.full(shape, np.nan)
-            self.faulty_masks = np.zeros(
-                (len(results), num_layers, width), dtype=bool
-            )
             for s, r in enumerate(results):
                 depth, w = r.graph.num_layers, r.graph.width
                 self.times[s, :, :depth, :w] = r.times
@@ -363,64 +354,34 @@ class BatchResult:
                 self.effective_corrections[s, :, :depth, :w] = (
                     r.effective_corrections
                 )
-                self.faulty_masks[s, :depth, :w] = r.faulty_mask
+            self.faulty_masks = _padded_masks(results, self._num_layers, width)
 
     def __len__(self) -> int:
         return len(self.trials)
 
     # ------------------------------------------------------------------
-    # Stacked skew statistics (one array sweep per distinct geometry)
+    # Statistics, served from each result's online folds
     # ------------------------------------------------------------------
-    def _geometry_groups(self) -> List[Tuple[object, List[int]]]:
-        """Trial indices grouped by grid structure (graph, index list).
-
-        The skew reducers gather along base-graph edges, so trials with
-        different geometries reduce in separate sweeps; within a group
-        one array sweep covers all its trials, as before.
-        """
-        groups: Dict[Tuple, List[int]] = {}
-        graphs: Dict[Tuple, object] = {}
-        for i, r in enumerate(self.results):
-            key = (r.graph.num_layers, r.graph.base.adjacency)
-            groups.setdefault(key, []).append(i)
-            graphs.setdefault(key, r.graph)
-        return [(graphs[key], indices) for key, indices in groups.items()]
-
-    def _per_layer_stat(self, fn, columns: int, empty: float) -> np.ndarray:
-        """Scatter a per-geometry ``(s, L-ish)`` reducer into ``(S, cols)``.
-
-        Rows are NaN past a trial's own layer count -- those layers do not
-        exist, which is distinct from ``empty`` ("layer exists but has no
-        comparable pulse pair").
-        """
-        out = np.full((len(self), columns), np.nan)
-        for graph, indices in self._geometry_groups():
-            depth, width = graph.num_layers, graph.width
-            sub = self.times[indices][:, :, :depth, :width]
-            values = fn(sub, graph, empty)
-            out[np.asarray(indices)[:, None], np.arange(values.shape[-1])] = values
-        return out
-
     @staticmethod
     def _streamed_reducer(result: FastResult, name: str):
         """The named streaming reducer bound to ``result``, or raise."""
         streamed = result.streamed
         if streamed is None or name not in streamed:
             raise ValueError(
-                f"streamed batch carries no {name!r} reducer; request it via "
-                "BatchRunner(potential_levels=...) or re-run with "
-                "store_times=True"
+                f"batch carries no {name!r} reducer; run it through "
+                "BatchRunner (request potentials via potential_levels=...) "
+                "or pass reducers= to the simulation"
             )
         return streamed[name]
 
     def _streamed_layer_stat(
         self, name: str, columns: int, empty: float
     ) -> np.ndarray:
-        """Gather a streamed per-layer statistic into ``(S, cols)``.
+        """Gather a folded per-layer statistic into ``(S, columns)``.
 
-        Same padding contract as :meth:`_per_layer_stat`: NaN past a
-        trial's own layer count, ``empty`` where the layer exists but had
-        nothing to fold.
+        Rows are NaN past a trial's own layer count -- those layers do not
+        exist, which is distinct from ``empty`` ("layer exists but has no
+        comparable pulse pair").
         """
         out = np.full((len(self), columns), np.nan)
         for s, r in enumerate(self.results):
@@ -436,15 +397,7 @@ class BatchResult:
         Mixed-geometry batches report NaN for layers a trial does not
         have.
         """
-        if self.streaming:
-            return self._streamed_layer_stat("local", self._stream_layers, empty)
-        if not self.heterogeneous:
-            return local_skew_layers(self.times, self.graph, empty=empty)
-        return self._per_layer_stat(
-            lambda sub, graph, e: local_skew_layers(sub, graph, empty=e),
-            self.times.shape[-2],
-            empty,
-        )
+        return self._streamed_layer_stat("local", self._num_layers, empty)
 
     def max_local_skews(self) -> np.ndarray:
         """Per-trial ``sup_l L_l``; shape ``(S,)``."""
@@ -452,16 +405,8 @@ class BatchResult:
 
     def inter_layer_skews(self, empty: float = 0.0) -> np.ndarray:
         """Per-trial, per-boundary ``L_{l,l+1}``; shape ``(S, L_max - 1)``."""
-        if self.streaming:
-            return self._streamed_layer_stat(
-                "inter_layer", max(self._stream_layers - 1, 0), empty
-            )
-        if not self.heterogeneous:
-            return inter_layer_skew_layers(self.times, self.graph, empty=empty)
-        return self._per_layer_stat(
-            lambda sub, graph, e: inter_layer_skew_layers(sub, graph, empty=e),
-            max(self.times.shape[-2] - 1, 0),
-            empty,
+        return self._streamed_layer_stat(
+            "inter_layer", max(self._num_layers - 1, 0), empty
         )
 
     def max_inter_layer_skews(self) -> np.ndarray:
@@ -469,103 +414,56 @@ class BatchResult:
         return _rows_max(self.inter_layer_skews())
 
     def overall_skews(self) -> np.ndarray:
-        """Per-trial ``L = sup_l max(L_l, L_{l,l+1})``; shape ``(S,)``."""
-        if self.streaming:
-            # Composed from the two streamed folds; max is exact in FP, so
-            # this matches overall_skew_layers on the materialized block
-            # bitwise.  -inf keeps depth-1 trials (no boundaries at all)
-            # on their local max alone, mirroring the zero-column
-            # short-circuit of inter_layer_skew_layers.
-            local_max = _rows_max(self.local_skews())
-            inter = self.inter_layer_skews()
-            if inter.shape[-1] == 0:
-                return local_max
-            return np.maximum(local_max, _rows_max(inter, empty=-np.inf))
-        if not self.heterogeneous:
-            return overall_skew_layers(self.times, self.graph)
-        out = np.empty(len(self))
-        for graph, indices in self._geometry_groups():
-            depth, width = graph.num_layers, graph.width
-            sub = self.times[indices][:, :, :depth, :width]
-            out[indices] = overall_skew_layers(sub, graph)
-        return out
+        """Per-trial ``L = sup_l max(L_l, L_{l,l+1})``; shape ``(S,)``.
+
+        Composed from the two folds; max is exact in FP, so this matches
+        :func:`~repro.analysis.skew.overall_skew_layers` on the pulse-time
+        block bitwise.  -inf keeps depth-1 trials (no boundaries at all)
+        on their local max alone.
+        """
+        local_max = _rows_max(self.local_skews())
+        inter = self.inter_layer_skews()
+        if inter.shape[-1] == 0:
+            return local_max
+        return np.maximum(local_max, _rows_max(inter, empty=-np.inf))
 
     def global_skews(self) -> np.ndarray:
-        """Per-trial global skew; shape ``(S,)``.
-
-        Geometry-agnostic: padded cells are NaN and the per-layer spread
-        masks them, so the one-sweep reduction covers mixed grids too.
-        """
-        if self.streaming:
-            return _rows_max(
-                self._streamed_layer_stat("global", self._stream_layers, np.nan)
-            )
-        return _rows_max(global_skew_layers(self.times, empty=np.nan))
+        """Per-trial global skew; shape ``(S,)``."""
+        return _rows_max(
+            self._streamed_layer_stat("global", self._num_layers, np.nan)
+        )
 
     def potentials(self, s: int, empty: float = np.nan) -> np.ndarray:
         """Per-trial, per-layer potential ``Psi_s``; shape ``(S, L_max)``.
 
-        Streamed batches serve the fold of a ``PotentialStream(s)``
-        reducer (request it via ``BatchRunner(potential_levels=...)``);
-        materialized batches reduce :func:`potential_layers` per trial
-        with that trial's own ``kappa``.
+        Served by the fold of a ``PotentialStream(s)`` reducer, so the run
+        must request it via ``BatchRunner(potential_levels=(s, ...))``.
         """
-        if self.streaming:
-            return self._streamed_layer_stat(
-                f"potential_s{int(s)}", self._stream_layers, empty
-            )
-        from repro.analysis.potentials import potential_layers
+        return self._streamed_layer_stat(
+            f"potential_s{int(s)}", self._num_layers, empty
+        )
 
-        out = np.full((len(self), self.times.shape[-2]), np.nan)
-        for graph, indices in self._geometry_groups():
-            depth, width = graph.num_layers, graph.width
-            for i in indices:
-                coefficient = 4.0 * s * self.results[i].params.kappa
-                out[i, :depth] = potential_layers(
-                    self.times[i, :, :depth, :width],
-                    graph,
-                    coefficient,
-                    empty=empty,
-                )
-        return out
-
-    # ------------------------------------------------------------------
-    # Correction statistics
-    # ------------------------------------------------------------------
     def correction_stats(self) -> Dict[str, np.ndarray]:
         """Per-trial correction summary: max/mean ``|C|`` and count.
 
-        Reduces over the finite entries of the ``corrections`` matrices
-        (layer 0 and via-``H_max`` iterations are NaN).  Both paths fold
-        plane by plane in pulse-major order over each trial's *own*
-        ``(L_s, W_s)`` window -- :func:`fold_correction_planes` on the
-        materialized per-trial matrices, the ``CorrectionStatsStream``
-        accumulators otherwise -- so streamed and materialized runs agree
-        bitwise (folding the padded ``W_max`` block instead would change
-        the pairwise-sum association of the mean).
+        Folds the finite ``corrections`` entries (layer 0 and
+        via-``H_max`` iterations are NaN) plane by plane in pulse-major
+        order over each trial's *own* ``(L_s, W_s)`` window, bitwise equal
+        to :func:`~repro.analysis.streaming.fold_correction_planes` on the
+        per-trial matrices.
         """
-        if self.streaming:
-            rows = [
-                self._streamed_reducer(r, "corrections").trial_stats(
-                    r.streamed_row
-                )
-                for r in self.results
-            ]
-            return {
-                "max_abs": np.array([row["max_abs"] for row in rows]),
-                "mean_abs": np.array([row["mean_abs"] for row in rows]),
-                "num_corrections": np.array(
-                    [row["num_corrections"] for row in rows], dtype=np.int64
-                ),
-            }
-        if not self.results:
-            return fold_correction_planes(self.corrections)
-        folds = [
-            fold_correction_planes(r.corrections[None]) for r in self.results
+        rows = [
+            self._streamed_reducer(r, "corrections").trial_stats(
+                r.streamed_row
+            )
+            for r in self.results
         ]
         return {
-            key: np.concatenate([fold[key] for fold in folds])
-            for key in ("max_abs", "mean_abs", "num_corrections")
+            "max_abs": np.array([row["max_abs"] for row in rows]),
+            "mean_abs": np.array([row["mean_abs"] for row in rows]),
+            "num_corrections": np.array(
+                [row["num_corrections"] for row in rows], dtype=np.int64
+            ),
         }
 
     def num_faults(self) -> np.ndarray:
@@ -622,7 +520,7 @@ def _run_shard(
     pickle it under every start method (fork, spawn, forkserver).
     Returns the shard's results plus its shard-local stack-group indices,
     compaction stats, and fallback reasons (re-offset by the parent).
-    Streamed shards ship their accumulators back through the results'
+    Shards ship their folded statistics back through the results'
     ``streamed`` attribute (``FastResult.__getstate__`` keeps it).
     """
     runner = BatchRunner(
@@ -683,16 +581,15 @@ class BatchRunner:
         Number of process shards; defaults to ``os.cpu_count()`` capped at
         the trial count.  Ignored by the serial executor.
     store_times:
-        ``True`` (default) materializes the stacked ``(S, K, L, W)``
-        pulse-time block as before.  ``False`` streams instead: skew and
-        correction statistics fold online, one ``(S, W)`` layer plane at
-        a time, and the result never allocates the block -- memory drops
-        from ``O(S * K * L * W)`` to ``O(S * L * W)``.  The streamed
-        statistics are bit-identical to the materialized reducers.
+        Skew and correction statistics always fold online, one ``(S, W)``
+        layer plane at a time; this knob decides only whether the
+        ``(S, K, L, W)`` pulse-time block is kept as well.  ``True``
+        (default) keeps it in :attr:`BatchResult.times`; ``False`` never
+        allocates it -- memory drops from ``O(S * K * L * W)`` to
+        ``O(S * L * W)`` -- and the statistics are unchanged.
     potential_levels:
         Potential levels ``s`` to fold online as ``PotentialStream``
-        reducers (served by ``BatchResult.potentials(s)`` on streamed
-        batches).
+        reducers (served by ``BatchResult.potentials(s)``).
     """
 
     def __init__(
@@ -727,13 +624,11 @@ class BatchRunner:
         self.potential_levels = tuple(potential_levels)
 
     def _reducers(self):
-        """A fresh reducer list per run call, or None when nothing streams.
+        """A fresh :func:`default_reducers` list per run call.
 
         Fresh each call because reducers bind to one stream layout; a
         stacked group and a fallback trial cannot share accumulators.
         """
-        if self.store_times and not self.potential_levels:
-            return None
         return default_reducers(potential_levels=self.potential_levels)
 
     def run(

@@ -162,7 +162,6 @@ def run_cor15(
     envelope_factor: float = 1.5,
     executor: str = "serial",
     shards: Optional[int] = None,
-    store_times: bool = False,
 ) -> Cor15Result:
     """Run with per-pulse delay/rate drift and a mutating fault.
 
@@ -170,8 +169,8 @@ def run_cor15(
     :class:`BatchRunner` so multi-seed/multi-diameter variants of this
     study shard and stack like the other drivers (the default
     single-trial run gains nothing from either).  Only the folded
-    overall skew is consumed, so the run streams by default
-    (``store_times=False``); ``store_times=True`` keeps raw pulse times.
+    overall skew is consumed, so the run streams: the pulse-time block
+    is never materialized.
 
     Example
     -------
@@ -187,7 +186,7 @@ def run_cor15(
         num_pulses=num_pulses,
         executor=executor,
         shards=shards,
-        store_times=store_times,
+        store_times=False,
     ).run([trial])
     return Cor15Result(
         diameter=diameter,

@@ -164,7 +164,6 @@ def run_table1(
     hex_crash: bool = True,
     executor: str = "serial",
     shards: Optional[int] = None,
-    store_times: bool = False,
 ) -> Table1Result:
     """Measure the Table 1 comparison over a diameter sweep.
 
@@ -178,9 +177,8 @@ def run_table1(
     compaction retires each diameter's rows as its shallower grid
     finishes).  ``executor``/``shards`` are forwarded to
     :class:`BatchRunner` and the baseline simulations stay serial.  The Gradient TRIX batch consumes
-    only folded skew maxima, so it streams by default
-    (``store_times=False``, bit-identical); ``store_times=True``
-    materializes the pulse-time block again.
+    only folded skew maxima, so it streams: the pulse-time block is
+    never materialized.
 
     Example
     -------
@@ -194,7 +192,7 @@ def run_table1(
         num_pulses=num_pulses,
         executor=executor,
         shards=shards,
-        store_times=store_times,
+        store_times=False,
     )
     all_configs = {
         diameter: [

@@ -81,7 +81,6 @@ def run_thm11(
     num_pulses: int = 4,
     executor: str = "serial",
     shards: Optional[int] = None,
-    store_times: bool = False,
 ) -> Thm11Result:
     """Measure the fault-free local skew sweep.
 
@@ -96,11 +95,8 @@ def run_thm11(
     maxima come out of the stacked skew statistics, sliced per diameter.
     ``executor``/``shards`` are forwarded to :class:`BatchRunner`
     (``executor="process"`` shards the batch across worker processes).
-    The driver only needs the folded skew maxima, so it defaults to the
-    streaming path (``store_times=False``): the ``(S, K, L, W)``
-    pulse-time block is never materialized and the statistics are
-    bit-identical; pass ``store_times=True`` to keep raw pulse times for
-    drill-in.
+    The driver only needs the folded skew maxima, so it streams: the
+    ``(S, K, L, W)`` pulse-time block is never materialized.
 
     Example
     -------
@@ -117,7 +113,7 @@ def run_thm11(
         num_pulses=num_pulses,
         executor=executor,
         shards=shards,
-        store_times=store_times,
+        store_times=False,
     )
     trials = []
     for diameter in diameters:

@@ -164,7 +164,6 @@ def run_thm13(
     seeds: Sequence[int] | None = None,
     executor: str = "serial",
     shards: Optional[int] = None,
-    store_times: bool = False,
 ) -> Thm13Result:
     """Sample random fault plans and measure the skew distribution.
 
@@ -176,10 +175,8 @@ def run_thm13(
     pulse budget differs from the fault trials', not its geometry, so the
     whole batch is one stack group; depth compaction also retires
     trials whose layers a fault plan has silenced outright.  The driver
-    reduces to per-trial skew maxima, so it
-    streams by default (``store_times=False``, bit-identical statistics
-    without the ``(S, K, L, W)`` block); ``store_times=True`` restores
-    the materialized pulse times.
+    reduces to per-trial skew maxima, so it streams: the
+    ``(S, K, L, W)`` pulse-time block is never materialized.
 
     Example
     -------
@@ -207,7 +204,7 @@ def run_thm13(
         num_pulses=num_pulses,
         executor=executor,
         shards=shards,
-        store_times=store_times,
+        store_times=False,
     ).run(batch_trials)
     skews = batch.max_local_skews()
     fault_free_skew = float(skews[0])

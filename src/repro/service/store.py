@@ -9,10 +9,12 @@ computation bit-for-bit (every execution strategy of the batch runner is
 bitwise-invariant), so the second is served from the store: a recorded
 cache hit.
 
-Deliberately *excluded* from the key: ``executor`` and ``shards``.  The
-test suite pins that results are bitwise identical for every sharding,
-so a grid first run serially and resubmitted with
-``executor="process"`` is still a hit.  Included even though they are
+Deliberately *excluded* from the key: ``executor``, ``shards``, and
+``store_times``.  The test suite pins that results are bitwise identical
+for every sharding, so a grid first run serially and resubmitted with
+``executor="process"`` is still a hit; ``store_times`` only decides
+whether the runner keeps the pulse-time block, which the served payload
+never includes.  Included even though they are
 also bitwise-invariant: ``neighbor_backend`` / ``vectorize`` -- the
 conservative reading of the cache contract (a dense/CSR or kernel/replay
 bug should never be masked by a cache hit recorded under the other
@@ -41,15 +43,14 @@ __all__ = ["CACHE_VERSION", "ResultStore", "grid_key", "trial_cell_key"]
 
 #: Bumped whenever the key layout or payload schema changes, so stores
 #: persisted to disk never serve a stale schema.
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 #: The :class:`~repro.experiments.batch.BatchRunner` knobs that enter the
-#: grid key, with their defaults.  ``executor``/``shards`` are absent by
-#: design (see the module docstring).
+#: grid key, with their defaults.  ``executor``/``shards``/``store_times``
+#: are absent by design (see the module docstring).
 KEYED_RUNNER_KNOBS: Dict[str, object] = {
     "vectorize": True,
     "neighbor_backend": "auto",
-    "store_times": True,
     "potential_levels": (),
 }
 
@@ -99,7 +100,7 @@ def grid_key(
     delay classifier, an unpicklable rate provider) has no stable byte
     representation, so the job runs and serves but never enters the
     store.  ``runner_knobs`` entries outside :data:`KEYED_RUNNER_KNOBS`
-    (``executor``, ``shards``) are ignored; missing ones key on their
+    (``executor``, ``shards``, ``store_times``) are ignored; missing ones key on their
     defaults, so an explicit default and an omitted knob hash alike.
     """
     knobs = dict(KEYED_RUNNER_KNOBS)

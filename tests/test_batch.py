@@ -215,10 +215,13 @@ class TestBatchRunnerValidation:
             BatchTrial(config=standard_config(4)),
             BatchTrial(config=standard_config(6)),
         ]
+        small, large = (trial.config.graph for trial in trials)
+        # Premise: the two grids really are mismatched.
+        assert small.width < large.width
+        assert small.num_layers < large.num_layers
+        assert small.base.adjacency != large.base.adjacency
         batch = BatchRunner(num_pulses=NUM_PULSES).run(trials)
-        assert batch.heterogeneous
         assert batch.stack_groups == [[0, 1]]
-        small = trials[0].config.graph
         assert np.isnan(batch.times[0, :, small.num_layers:, :]).all()
         assert np.isnan(batch.times[0, :, :, small.width:]).all()
         reference = trials[0].config.simulation().run(NUM_PULSES)

@@ -25,6 +25,7 @@ from repro.analysis.skew import (
     max_local_skew,
     overall_skew,
 )
+from repro.analysis.streaming import default_reducers
 from repro.core.correction import CorrectionPolicy
 from repro.core.fast import FastSimulation
 from repro.core.fast_batch import TrialStack, stack_compatibility
@@ -33,6 +34,7 @@ from repro.core.layer0 import (
     ChainLayer0,
     JitteredLayer0,
     PerfectLayer0,
+    stacked_pulse_row,
     stacked_pulse_times,
 )
 from repro.delays.models import (
@@ -293,9 +295,14 @@ class TestSameShapeDifferentTopology:
             )
             for seed, base in enumerate([cycle_graph(9), complete_graph(9)])
         ]
-        results = TrialStack(sims).run(NUM_PULSES)
+        # Premise: equal shapes, different adjacency.
+        assert sims[0].graph.num_layers == sims[1].graph.num_layers
+        assert sims[0].graph.width == sims[1].graph.width
+        assert sims[0].graph.base.adjacency != sims[1].graph.base.adjacency
+        results = TrialStack(sims).run(
+            NUM_PULSES, reducers=default_reducers()
+        )
         batch = BatchResult(sims, results)
-        assert batch.heterogeneous  # same shape, different adjacency
         for i, result in enumerate(results):
             assert batch.max_local_skews()[i] == pytest.approx(
                 max_local_skew(result), abs=0.0
@@ -306,18 +313,31 @@ class TestSameShapeDifferentTopology:
 
 
 class TestStackedLayer0Fill:
-    """stacked_pulse_times == per-schedule pulse_times_array, bit for bit."""
+    """stacked_pulse_times / stacked_pulse_row == per-schedule
+    pulse_times_array, bit for bit."""
 
     def _assert_stack_matches(self, schedules, bases):
         block = stacked_pulse_times(schedules, bases, NUM_PULSES)
         width = max(base.num_nodes for base in bases)
         assert block.shape == (len(schedules), NUM_PULSES, width)
-        for s, (schedule, base) in enumerate(zip(schedules, bases)):
+        references = [
+            schedule.pulse_times_array(base, NUM_PULSES)
+            for schedule, base in zip(schedules, bases)
+        ]
+        for s, (reference, base) in enumerate(zip(references, bases)):
             np.testing.assert_array_equal(
-                block[s, :, : base.num_nodes],
-                schedule.pulse_times_array(base, NUM_PULSES),
+                block[s, :, : base.num_nodes], reference
             )
             assert np.isnan(block[s, :, base.num_nodes:]).all()
+        # The one-pulse rows every streamed layer-0 fill goes through.
+        for k in range(NUM_PULSES):
+            row = stacked_pulse_row(schedules, bases, k)
+            assert row.shape == (len(schedules), width)
+            for s, (reference, base) in enumerate(zip(references, bases)):
+                np.testing.assert_array_equal(
+                    row[s, : base.num_nodes], reference[k]
+                )
+                assert np.isnan(row[s, base.num_nodes:]).all()
 
     def test_mixed_schedule_types_and_widths(self):
         params = PARAMS_CHOICES[0]

@@ -270,6 +270,29 @@ class TestJobRunner:
             for e in second.events
         )
 
+    def test_store_times_does_not_split_the_cache(self, runner):
+        # The payload comes from the online folds either way, so keeping
+        # the pulse-time block must not key a second computation.
+        first = runner.submit({
+            "grid": SMALL_GRID,
+            "num_pulses": NUM_PULSES,
+            "runner": {"store_times": True},
+        })
+        runner.wait(first.id, timeout=120)
+        second = runner.submit({
+            "grid": SMALL_GRID,
+            "num_pulses": NUM_PULSES,
+            "runner": {"store_times": False},
+        })
+        runner.wait(second.id, timeout=120)
+        assert first.cache_hit is False
+        assert second.key == first.key
+        assert second.cache_hit is True
+        assert runner.store.stats["entries"] == 1
+        assert deep_equal(
+            to_jsonable(first.payload()), direct_payload(SMALL_GRID)
+        )
+
     def test_different_pulse_budget_misses(self, runner):
         first = runner.submit({"grid": SMALL_GRID, "num_pulses": NUM_PULSES})
         runner.wait(first.id, timeout=120)
